@@ -13,9 +13,11 @@
 #include "analytics/kmeans.h"
 #include "analytics/moving_average.h"
 #include "analytics/red_objs.h"
+#include "analytics/reference.h"
 #include "analytics/summary_stats.h"
 #include "common/rng.h"
 #include "core/scheduler.h"
+#include "sim/heat3d.h"
 #include "simmpi/world.h"
 #include "threading/circular_buffer.h"
 #include "threading/thread_pool.h"
@@ -466,6 +468,153 @@ void BM_HistogramKeysBatched(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_HistogramKeysBatched)->Arg(65536);
+
+// --- nearest-centroid assignment: hinted scan vs constant-cost lanes ---------
+//
+// The before/after pair for the k-means assignment kernel (DESIGN.md §4.8),
+// d = 4, k = 8.  The "before" side is the replaced kernel, preserved here
+// (not in src/) so the pair keeps measuring against the design it
+// replaced: a blocked 4-point scan seeded with the previous block's winner,
+// whose early exit makes a point's cost depend on how far it sits from
+// that seed.  The "after" side is kernels::nearest_centroids, which
+// computes every distance, two centroids per SSE2 vector.
+//
+// Two inputs: a Heat3D slab read as 4-d points (a hot region near the
+// heated plane, a cold bulk — the iter_kmeans benchmark's field) with
+// centroids converged on it, and the smooth_points cluster stream.
+
+namespace legacy {
+
+template <std::size_t Dims>
+double dist_sq(const double* pt, const double* centroid) {
+  double dist = 0.0;
+  for (std::size_t d = 0; d < Dims; ++d) {
+    const double diff = pt[d] - centroid[d];
+    dist += diff * diff;
+  }
+  return dist;
+}
+
+/// The run-aware hinted scan: exact (lowest-index argmin, ties included)
+/// on finite inputs, cost data-dependent.
+template <std::size_t Dims>
+void hinted_nearest_centroids(const double* pts, std::size_t n, const double* centroids,
+                              std::size_t k, int* keys) {
+  int hint = 0;
+  std::size_t p = 0;
+  for (; p + 4 <= n; p += 4) {
+    const double* p0 = pts + (p + 0) * Dims;
+    const double* p1 = pts + (p + 1) * Dims;
+    const double* p2 = pts + (p + 2) * Dims;
+    const double* p3 = pts + (p + 3) * Dims;
+    const double* seed = centroids + static_cast<std::size_t>(hint) * Dims;
+    double best0 = dist_sq<Dims>(p0, seed);
+    double best1 = dist_sq<Dims>(p1, seed);
+    double best2 = dist_sq<Dims>(p2, seed);
+    double best3 = dist_sq<Dims>(p3, seed);
+    int key0 = hint, key1 = hint, key2 = hint, key3 = hint;
+    for (std::size_t c = 0; c < k; ++c) {
+      if (static_cast<int>(c) == hint) continue;
+      const double* centroid = centroids + c * Dims;
+      double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
+      for (std::size_t d = 0; d < Dims; ++d) {
+        const double ce = centroid[d];
+        const double e0 = p0[d] - ce;
+        const double e1 = p1[d] - ce;
+        const double e2 = p2[d] - ce;
+        const double e3 = p3[d] - ce;
+        d0 += e0 * e0;
+        d1 += e1 * e1;
+        d2 += e2 * e2;
+        d3 += e3 * e3;
+        if ((d0 > best0) & (d1 > best1) & (d2 > best2) & (d3 > best3)) break;
+      }
+      const int key = static_cast<int>(c);
+      if (d0 <= best0 && (d0 < best0 || key < key0)) { best0 = d0; key0 = key; }
+      if (d1 <= best1 && (d1 < best1 || key < key1)) { best1 = d1; key1 = key; }
+      if (d2 <= best2 && (d2 < best2 || key < key2)) { best2 = d2; key2 = key; }
+      if (d3 <= best3 && (d3 < best3 || key < key3)) { best3 = d3; key3 = key; }
+    }
+    keys[p + 0] = key0;
+    keys[p + 1] = key1;
+    keys[p + 2] = key2;
+    keys[p + 3] = key3;
+    hint = key3;
+  }
+  for (; p < n; ++p) {
+    keys[p] = kernels::detail::nearest_centroid_fixed<double, Dims>(pts + p * Dims, centroids, k);
+  }
+}
+
+}  // namespace legacy
+
+constexpr std::size_t kAssignDims = 4, kAssignK = 8;
+
+struct AssignInput {
+  std::vector<double> points;  ///< row-major, kAssignDims per point
+  std::vector<double> centroids;
+};
+
+/// Heat3D 32x32x64 after 200 steps, centroids after 10 k-means rounds from
+/// uniform [0, 1) starts — the shape the iter_kmeans workload assigns.
+AssignInput heat_assign_input() {
+  sim::Heat3D heat({.nx = 32, .ny = 32, .nz_local = 64}, nullptr);
+  for (int s = 0; s < 200; ++s) heat.step();
+  AssignInput in;
+  in.points.assign(heat.output(), heat.output() + heat.output_len());
+  Rng rng(4711);
+  std::vector<double> init(kAssignK * kAssignDims);
+  for (auto& x : init) x = rng.uniform(0.0, 1.0);
+  in.centroids = ref::kmeans(in.points.data(), in.points.size() / kAssignDims, kAssignDims,
+                             kAssignK, 10, init);
+  return in;
+}
+
+AssignInput smooth_assign_input() {
+  AssignInput in;
+  in.points = smooth_points(16384, kAssignDims, kAssignK);
+  in.centroids.resize(kAssignK * kAssignDims);
+  for (std::size_t c = 0; c < kAssignK; ++c) {
+    for (std::size_t d = 0; d < kAssignDims; ++d) {
+      in.centroids[c * kAssignDims + d] = static_cast<double>(c * 10 + d);
+    }
+  }
+  return in;
+}
+
+template <class Assign>
+void assign_bench(benchmark::State& state, const std::string& field, Assign assign) {
+  const AssignInput in = field == "heat" ? heat_assign_input() : smooth_assign_input();
+  const std::size_t n = in.points.size() / kAssignDims;
+  // The scheduler hands the kernel one batch of 64 points per call.
+  constexpr std::size_t kBatch = 64;
+  std::vector<int> keys(n);
+  for (auto _ : state) {
+    for (std::size_t p = 0; p < n; p += kBatch) {
+      assign(in.points.data() + p * kAssignDims, std::min(kBatch, n - p), in.centroids.data(),
+             keys.data() + p);
+    }
+    benchmark::DoNotOptimize(keys.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
+void BM_NearestCentroidsHinted(benchmark::State& state, const char* field) {
+  assign_bench(state, field, [](const double* pts, std::size_t n, const double* c, int* keys) {
+    legacy::hinted_nearest_centroids<kAssignDims>(pts, n, c, kAssignK, keys);
+  });
+}
+void BM_NearestCentroidsLanes(benchmark::State& state, const char* field) {
+  assign_bench(state, field, [](const double* pts, std::size_t n, const double* c, int* keys) {
+    kernels::nearest_centroids(pts, n, kAssignDims, c, kAssignK, keys);
+  });
+}
+BENCHMARK_CAPTURE(BM_NearestCentroidsHinted, heat, "heat");
+BENCHMARK_CAPTURE(BM_NearestCentroidsLanes, heat, "heat");
+BENCHMARK_CAPTURE(BM_NearestCentroidsHinted, smooth, "smooth");
+BENCHMARK_CAPTURE(BM_NearestCentroidsLanes, smooth, "smooth");
 
 }  // namespace
 

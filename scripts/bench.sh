@@ -14,7 +14,10 @@
 #     wire_bytes counter per size;
 #   * BM_LocalCombine — serial vs pool-parallel local combination;
 #   * BM_MapSerializeRoundTrip / BM_MapCombineAlgorithms — the codec and
-#     tree/ring crossover benches the combiner defaults come from.
+#     tree/ring crossover benches the combiner defaults come from;
+#   * BM_NearestCentroidsLanes vs BM_NearestCentroidsHinted — the
+#     constant-cost k-means assignment kernel against the hinted
+#     early-exit scan it replaced, on a Heat3D field and a cluster stream.
 #
 # The transport suite (bench/micro_transport.cpp) covers the simmpi data
 # plane and its before/after pairs:
@@ -52,7 +55,7 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 out="${1:-$repo/BENCH_core.json}"
 transport_out="$(dirname "$out")/BENCH_transport.json"
 
-filter='BM_ReductionMapAccumulate|BM_LegacyStdMapAccumulate|BM_CombinationMapInsert|BM_LegacyStdMapInsert|BM_MapCodec|BM_LocalCombine|BM_MapSerializeRoundTrip|BM_MapCombineAlgorithms|BM_ScalarAccumulate|BM_BatchedAccumulate|BM_HistogramKeys'
+filter='BM_ReductionMapAccumulate|BM_LegacyStdMapAccumulate|BM_CombinationMapInsert|BM_LegacyStdMapInsert|BM_MapCodec|BM_LocalCombine|BM_MapSerializeRoundTrip|BM_MapCombineAlgorithms|BM_ScalarAccumulate|BM_BatchedAccumulate|BM_HistogramKeys|BM_NearestCentroids'
 
 echo "== bench: build (Release) =="
 cmake -B "$repo/build" -S "$repo" -DCMAKE_BUILD_TYPE=Release >/dev/null

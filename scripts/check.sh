@@ -11,10 +11,11 @@
 # runtime is thread-heavy (thread pool, circular buffer, simmpi mailboxes),
 # so data races are the bug class worth a dedicated pass.
 #
-# The ASan half rebuilds the serialization- and fault-heavy tests in
-# build-asan/ with -DSMART_SANITIZE=address: checkpoint parsing of untrusted
-# headers, mid-round rollback of partially merged maps, and rank-death
-# unwinding are exactly where lifetime and bounds bugs would hide.
+# The ASan half rebuilds the serialization- and fault-heavy tests plus
+# test_obs in build-asan/ with -DSMART_SANITIZE=address: checkpoint parsing
+# of untrusted headers, mid-round rollback of partially merged maps,
+# rank-death unwinding and metric lifetimes across a registry reset are
+# exactly where lifetime and bounds bugs would hide.
 #
 # Every ctest invocation runs with a hard per-test timeout (each test also
 # carries a TIMEOUT property from tests/CMakeLists.txt): a test that blocks
@@ -190,7 +191,7 @@ fi
 if [[ -f "$repo/BENCH_core.json" ]]; then
   bench_core_gate_json="$repo/build/check_bench_core_gate.json"
   "$repo/build/bench/micro_core_ops" \
-    --benchmark_filter='StdMapAccumulate|ReductionMapAccumulate|MapInsert|ScalarAccumulate|BatchedAccumulate|HistogramKeys' \
+    --benchmark_filter='StdMapAccumulate|ReductionMapAccumulate|MapInsert|ScalarAccumulate|BatchedAccumulate|HistogramKeys|NearestCentroids' \
     --benchmark_min_time=0.05 \
     --benchmark_out="$bench_core_gate_json" --benchmark_out_format=json >/dev/null
   python3 "$repo/scripts/bench_gate.py" --pairs core "$repo/BENCH_core.json" \
@@ -230,7 +231,21 @@ g++ -O3 -std=c++20 -I"$repo/src" -fopt-info-vec-optimized \
 grep -q "vectorized" "$vec_log" \
   || { echo "batched histogram kernel no longer vectorizes:" >&2; \
        cat "$vec_log" >&2; exit 1; }
-echo "   vec probe ok: $(grep -c 'vectorized' "$vec_log") vectorized loop report(s)"
+# The k-means assignment kernel uses GCC vector types, which the
+# vectorizer never reports on: check each width's disassembly for packed
+# subtract and multiply instead.
+vec_asm="$repo/build/check_vec_probe.asm"
+objdump -d --no-show-raw-insn -C "$repo/build/check_vec_probe.o" > "$vec_asm"
+for width in 2 3 4 8; do
+  body="$(awk -v sym="nearest_centroids_fixed<double, ${width}ul>" \
+    '/^[0-9a-f]+ <.*>:$/ { on = index($0, sym) > 0; next } on' "$vec_asm")"
+  for insn in subpd mulpd; do
+    grep -Eq "[[:space:]]v?${insn}[[:space:]]" <<< "$body" \
+      || { echo "nearest_centroids width ${width} no longer emits ${insn}" >&2; exit 1; }
+  done
+done
+echo "   vec probe ok: $(grep -c 'vectorized' "$vec_log") vectorized loop report(s)," \
+  "packed k-means kernel at widths 2/3/4/8"
 
 echo "== native: build + test with SMART_NATIVE=ON =="
 # One pass of the batched-kernel exactness properties and a bench smoke with
@@ -265,16 +280,19 @@ if [[ "$run_tsan" == 1 ]]; then
 fi
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "== asan: build test_fault_tolerance + test_serialize + test_distributed =="
+  echo "== asan: build test_fault_tolerance + test_serialize + test_distributed + test_obs =="
   cmake -B "$repo/build-asan" -S "$repo" -DSMART_SANITIZE=address \
     -DSMART_BUILD_BENCHES=OFF -DSMART_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build "$repo/build-asan" -j "$jobs" \
-    --target test_fault_tolerance test_serialize test_distributed
+    --target test_fault_tolerance test_serialize test_distributed test_obs
 
   echo "== asan: run =="
   ASAN_OPTIONS="halt_on_error=1" "$repo/build-asan/tests/test_fault_tolerance"
   ASAN_OPTIONS="halt_on_error=1" "$repo/build-asan/tests/test_serialize"
   ASAN_OPTIONS="halt_on_error=1" "$repo/build-asan/tests/test_distributed"
+  # Metrics registry lifetime: reset() must not free histograms that
+  # instrument sites hold by cached reference.
+  ASAN_OPTIONS="halt_on_error=1" "$repo/build-asan/tests/test_obs"
 fi
 
 echo "== check.sh: all green =="

@@ -1,14 +1,21 @@
 // Vectorization probe for the batched reduction kernels (check.sh).
 //
-// This TU exists only to be compiled with -fopt-info-vec-optimized:
-// check.sh asserts the compiler reports "loop vectorized" for the
-// histogram bucketing loops instantiated here.  If a change to
-// batch_kernels.h silently breaks auto-vectorization (a reintroduced libm
-// call, a loop-carried dependence, an aliasing hazard), the probe fails
-// the build matrix rather than letting the regression ride to a bench
-// diff weeks later.
+// This TU exists only to be compiled, never linked.  check.sh asserts two
+// things about the object file:
 //
-// Never linked into anything; compiled standalone:
+//   * -fopt-info-vec-optimized reports "loop vectorized" for the histogram
+//     bucketing loops instantiated here (auto-vectorized code);
+//   * every fixed-width nearest-centroid kernel instantiated here still
+//     emits packed-double arithmetic (subpd and mulpd in its disassembly).
+//     That kernel is written with GCC vector types, which the compiler
+//     lowers straight to SIMD instructions without the auto-vectorizer, so
+//     -fopt-info-vec has nothing to report for it; the disassembly does.
+//
+// If a change to batch_kernels.h silently breaks either (a reintroduced
+// libm call, a loop-carried dependence, an aliasing hazard, a kernel that
+// fell back to scalar doubles), the probe fails the build matrix rather
+// than letting the regression ride to a bench diff weeks later.
+//
 //   g++ -O3 -std=c++20 -Isrc -fopt-info-vec-optimized -c scripts/vec_probe.cpp
 #include "analytics/batch_kernels.h"
 
@@ -20,5 +27,16 @@ template void histogram_keys<double>(const double*, std::size_t, std::size_t, do
                                      int, int*);
 template void histogram_keys<float>(const float*, std::size_t, std::size_t, double, double,
                                     int, int*);
+
+// The k-means assignment kernel at every width nearest_centroids<double>
+// dispatches to a fixed-dims specialization.
+template void detail::nearest_centroids_fixed<double, 2>(const double*, std::size_t,
+                                                         const double*, std::size_t, int*);
+template void detail::nearest_centroids_fixed<double, 3>(const double*, std::size_t,
+                                                         const double*, std::size_t, int*);
+template void detail::nearest_centroids_fixed<double, 4>(const double*, std::size_t,
+                                                         const double*, std::size_t, int*);
+template void detail::nearest_centroids_fixed<double, 8>(const double*, std::size_t,
+                                                         const double*, std::size_t, int*);
 
 }  // namespace smart::analytics::kernels

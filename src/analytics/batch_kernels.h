@@ -21,6 +21,7 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <vector>
 
 namespace smart::analytics::kernels {
 
@@ -70,8 +71,7 @@ inline int nearest_centroid_fixed(const T* pt, const double* centroids, std::siz
       dist += diff * diff;
       // Monotone early exit: partial sums of squares only grow, so once
       // the prefix reaches `best` this centroid cannot win — the argmin
-      // (ties included: strict <, first index wins) is unchanged, and the
-      // winning distances still accumulate in the full scalar order.
+      // (ties included: strict <, first index wins) is unchanged.
       if (dist >= best) break;
     }
     if (dist < best) {
@@ -82,86 +82,97 @@ inline int nearest_centroid_fixed(const T* pt, const double* centroids, std::siz
   return best_key;
 }
 
-/// One lane's full (all dims, no exit) squared distance — the same
-/// expression every path uses for a centroid it scans to completion.
-template <class T, std::size_t Dims>
-inline double dist_sq_fixed(const T* pt, const double* centroid) {
-  double dist = 0.0;
-  for (std::size_t d = 0; d < Dims; ++d) {
-    const double diff = static_cast<double>(pt[d]) - centroid[d];
-    dist += diff * diff;
-  }
-  return dist;
-}
+/// Two doubles per SSE2 register (GCC/Clang vector extensions), and the
+/// matching lane mask type a vector compare yields.
+using v2d = double __attribute__((vector_size(16)));
+using v2m = decltype(v2d{} < v2d{});
 
-/// Batched assignment, blocked 4 points at a time: each centroid row is
-/// loaded once per block instead of once per point, and the four distance
-/// chains are independent, so they interleave in the FMA pipeline instead
-/// of serializing on one chain's add latency.  Per point the adds happen
-/// in the exact dim order of nearest_centroid_fixed — identical keys, the
-/// ILP comes from *other points'* chains, never from reassociating one.
+/// Batched assignment with a cost that does not depend on the data: every
+/// centroid's full squared distance is computed, two centroids per vector
+/// (lane 0 = even index, lane 1 = odd), for a block of 4 points at a time
+/// so the four points' chains interleave in the pipeline.  Each lane adds
+/// the same (p[d] - c[d])^2 terms in the same dim order as
+/// nearest_centroid_fixed, so every distance is bit-identical to the
+/// scalar one — the SIMD width comes from independent centroids, never
+/// from reassociating one chain.
 ///
-/// The scan of each block is *seeded* with the previous block's winning
-/// centroid (run-aware candidate seeding): consecutive chunks usually
-/// share a key, so the seed is almost always the true winner and every
-/// other centroid early-exits after a dim or two against its tight bound.
-/// Seeding changes the scan order, so exactness needs the full
-/// lowest-index-argmin tie rule: a centroid is exited only when its
-/// prefix STRICTLY exceeds the bound (a tie could still win on index),
-/// and it replaces the best on a tie only when its index is lower.  Under
-/// that rule the result is the mathematical argmin with lowest index —
-/// per-centroid distances don't depend on scan order — so hinted and
-/// unhinted scans agree bit-for-bit on every input, ties included.
+/// The argmin is lane-wise too: each lane keeps the strict-< running best
+/// of its own centroids in ascending index order, starting from
+/// best = max.  The two lane winners then combine with the same rule —
+/// the smaller distance wins, equal distances go to the lower index — so
+/// the key is the lowest index achieving the minimum, or 0 when no
+/// distance is below max (NaN or infinite points), exactly as the scalar
+/// scan decides.  An odd k pads the last pair's lane 1 with NaN
+/// coordinates, whose distance never compares below the best.
+///
+/// Why no early exit: an exit makes a point's cost depend on how far it
+/// sits from the running best, and under the contiguous worker split that
+/// data dependence turns into worker skew (DESIGN.md §4.8).
 template <class T, std::size_t Dims>
 inline void nearest_centroids_fixed(const T* pts, std::size_t n, const double* centroids,
                                     std::size_t k, int* keys) {
-  int hint = 0;
-  std::size_t p = 0;
-  for (; p + 4 <= n; p += 4) {
-    const T* p0 = pts + (p + 0) * Dims;
-    const T* p1 = pts + (p + 1) * Dims;
-    const T* p2 = pts + (p + 2) * Dims;
-    const T* p3 = pts + (p + 3) * Dims;
-    const double* seed = centroids + static_cast<std::size_t>(hint) * Dims;
-    double best0 = dist_sq_fixed<T, Dims>(p0, seed);
-    double best1 = dist_sq_fixed<T, Dims>(p1, seed);
-    double best2 = dist_sq_fixed<T, Dims>(p2, seed);
-    double best3 = dist_sq_fixed<T, Dims>(p3, seed);
-    int key0 = hint, key1 = hint, key2 = hint, key3 = hint;
-    for (std::size_t c = 0; c < k; ++c) {
-      if (static_cast<int>(c) == hint) continue;  // already the seed
-      const double* centroid = centroids + c * Dims;
-      double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
-      for (std::size_t d = 0; d < Dims; ++d) {
-        const double ce = centroid[d];
-        const double e0 = static_cast<double>(p0[d]) - ce;
-        const double e1 = static_cast<double>(p1[d]) - ce;
-        const double e2 = static_cast<double>(p2[d]) - ce;
-        const double e3 = static_cast<double>(p3[d]) - ce;
-        d0 += e0 * e0;
-        d1 += e1 * e1;
-        d2 += e2 * e2;
-        d3 += e3 * e3;
-        // Joint early exit, strict >: once every lane's prefix strictly
-        // exceeds its bound no lane can win or tie-win.  Bitwise & folds
-        // the four compares into one predictable branch.
-        if ((d0 > best0) & (d1 > best1) & (d2 > best2) & (d3 > best3)) break;
-      }
-      const int key = static_cast<int>(c);
-      // Lanes that exited hold partial sums strictly above their bound,
-      // so they fail the <= gate by construction.  The gate keeps the
-      // common miss a single predictable branch; the tie arm (equal
-      // distance, lower index wins) only runs on a hit.
-      if (d0 <= best0 && (d0 < best0 || key < key0)) { best0 = d0; key0 = key; }
-      if (d1 <= best1 && (d1 < best1 || key < key1)) { best1 = d1; key1 = key; }
-      if (d2 <= best2 && (d2 < best2 || key < key2)) { best2 = d2; key2 = key; }
-      if (d3 <= best3 && (d3 < best3 || key < key3)) { best3 = d3; key3 = key; }
+  constexpr std::size_t kBlock = 4;
+  if (n < kBlock) {  // e.g. the scalar gen_key path (n = 1): not worth packing
+    for (std::size_t p = 0; p < n; ++p) {
+      keys[p] = nearest_centroid_fixed<T, Dims>(pts + p * Dims, centroids, k);
     }
-    keys[p + 0] = key0;
-    keys[p + 1] = key1;
-    keys[p + 2] = key2;
-    keys[p + 3] = key3;
-    hint = key3;
+    return;
+  }
+  // Pack centroid pairs dim-major: lanes[j * Dims + d] = {c[2j][d], c[2j+1][d]}.
+  const std::size_t pairs = (k + 1) / 2;
+  constexpr std::size_t kStackPairs = 16;
+  v2d stack_lanes[kStackPairs * Dims] = {};
+  std::vector<v2d> heap_lanes;
+  v2d* lanes = stack_lanes;
+  if (pairs > kStackPairs) {
+    heap_lanes.resize(pairs * Dims);
+    lanes = heap_lanes.data();
+  }
+  const double pad = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t j = 0; j < pairs; ++j) {
+    const double* c0 = centroids + 2 * j * Dims;
+    const double* c1 = 2 * j + 1 < k ? c0 + Dims : nullptr;
+    for (std::size_t d = 0; d < Dims; ++d) {
+      lanes[j * Dims + d] = v2d{c0[d], c1 != nullptr ? c1[d] : pad};
+    }
+  }
+
+  const v2d max = {std::numeric_limits<double>::max(), std::numeric_limits<double>::max()};
+  std::size_t p = 0;
+  for (; p + kBlock <= n; p += kBlock) {
+    v2d pt[kBlock][Dims] = {};
+    for (std::size_t b = 0; b < kBlock; ++b) {
+      for (std::size_t d = 0; d < Dims; ++d) {
+        const double x = static_cast<double>(pts[(p + b) * Dims + d]);
+        pt[b][d] = v2d{x, x};
+      }
+    }
+    v2d key[kBlock] = {};
+    v2d best[kBlock];
+    for (auto& b : best) b = max;
+    v2d index = {0.0, 1.0};
+    const v2d step = {2.0, 2.0};
+    for (std::size_t j = 0; j < pairs; ++j, index += step) {
+      const v2d* c = lanes + j * Dims;
+      for (std::size_t b = 0; b < kBlock; ++b) {
+        // The scalar chain starts at 0.0, and 0.0 + x == x for every
+        // square (+0, positive, +inf or NaN), so the first term seeds it.
+        v2d diff = pt[b][0] - c[0];
+        v2d dist = diff * diff;
+        for (std::size_t d = 1; d < Dims; ++d) {
+          diff = pt[b][d] - c[d];
+          dist += diff * diff;
+        }
+        const v2m lt = dist < best[b];  // all-ones where this pair's lane wins
+        best[b] = (v2d)(((v2m)dist & lt) | ((v2m)best[b] & ~lt));
+        key[b] = (v2d)(((v2m)index & lt) | ((v2m)key[b] & ~lt));
+      }
+    }
+    for (std::size_t b = 0; b < kBlock; ++b) {
+      const double k0 = key[b][0], k1 = key[b][1];
+      const bool odd = best[b][1] < best[b][0] || (best[b][1] == best[b][0] && k1 < k0);
+      keys[p + b] = static_cast<int>(odd ? k1 : k0);
+    }
   }
   for (; p < n; ++p) {
     keys[p] = nearest_centroid_fixed<T, Dims>(pts + p * Dims, centroids, k);

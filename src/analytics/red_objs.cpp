@@ -67,6 +67,16 @@ void GradObj::update() {
 
 std::unique_ptr<RedObj> ClusterObj::clone() const { return std::make_unique<ClusterObj>(*this); }
 
+bool ClusterObj::copy_from(const RedObj& src) {
+  const auto* other = dynamic_cast<const ClusterObj*>(&src);
+  if (other == nullptr) return false;
+  // Same-length vectors copy into the existing buffers: no allocation.
+  centroid = other->centroid;
+  sum = other->sum;
+  size = other->size;
+  return true;
+}
+
 void ClusterObj::serialize(Writer& w) const {
   w.write_vector(centroid);
   w.write_vector(sum);

@@ -79,6 +79,7 @@ struct ClusterObj : RedObj {
 
   std::string type_name() const override { return "ClusterObj"; }
   std::unique_ptr<RedObj> clone() const override;
+  bool copy_from(const RedObj& src) override;
   void serialize(Writer& w) const override;
   void deserialize(Reader& r) override;
   std::size_t footprint_bytes() const override {

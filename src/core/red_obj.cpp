@@ -209,6 +209,11 @@ CombinationMap deserialize_map(Reader& r) {
 }
 
 void merge_map_into(CombinationMap&& src, CombinationMap& dst, const MergeFn& merge) {
+  merge_map_keeping(src, dst, merge);
+  src.clear();
+}
+
+void merge_map_keeping(CombinationMap& src, CombinationMap& dst, const MergeFn& merge) {
   for (auto& [key, obj] : src) {
     auto it = dst.find(key);
     if (it == dst.end()) {
@@ -217,7 +222,6 @@ void merge_map_into(CombinationMap&& src, CombinationMap& dst, const MergeFn& me
       merge(*obj, it->second);
     }
   }
-  src.clear();
 }
 
 std::size_t absorb_serialized_map(Reader& r, CombinationMap& dst, const MergeFn& merge,
@@ -392,7 +396,7 @@ std::size_t map_footprint_bytes(const CombinationMap& map) {
   std::size_t total = 0;
   for (const auto& [key, obj] : map) {
     (void)key;
-    total += obj->footprint_bytes();
+    if (obj) total += obj->footprint_bytes();
   }
   return total;
 }

@@ -11,7 +11,9 @@
 // map to each reduction map", and serialization carries objects across rank
 // boundaries during global combination (the overhead the paper measures in
 // Section 5.3).  trigger() enables the early-emission optimization of
-// Algorithm 2.
+// Algorithm 2.  The optional copy_from() hook lets an iterative run refresh
+// the worker objects it handed out last iteration in place instead of
+// cloning new ones (see Scheduler::distribute_combination_map).
 #pragma once
 
 #include <algorithm>
@@ -38,6 +40,18 @@ class RedObj {
 
   /// Deep copy (used to distribute the combination map to worker maps).
   virtual std::unique_ptr<RedObj> clone() const = 0;
+
+  /// Copy-in: overwrites this object with the state of `src`, reusing this
+  /// object's storage, and returns true.  Every iteration of an iterative
+  /// run hands the combination map's objects to each worker; a worker
+  /// object that came back from the previous iteration is refreshed
+  /// through this hook instead of being replaced by a fresh clone().
+  /// Returning false (the default, and the answer for a `src` of another
+  /// type) makes the runtime fall back to clone().
+  virtual bool copy_from(const RedObj& src) {
+    (void)src;
+    return false;
+  }
 
   virtual void serialize(Writer& w) const = 0;
   virtual void deserialize(Reader& r) = 0;
@@ -350,6 +364,12 @@ inline CombinationMap deserialize_map(const Buffer& buf) {
 using MergeFn = std::function<void(const RedObj&, std::unique_ptr<RedObj>&)>;
 void merge_map_into(CombinationMap&& src, CombinationMap& dst, const MergeFn& merge);
 
+/// merge_map_into without emptying `src`: a key already in `dst` is merged
+/// and its spent object stays in `src` for reuse; a new key's object moves
+/// to `dst` and leaves a null slot behind.  The scheduler's iterative
+/// hand-back keeps its worker objects this way across iterations.
+void merge_map_keeping(CombinationMap& src, CombinationMap& dst, const MergeFn& merge);
+
 /// Single-pass absorb: streams serialized map entries from `r` straight
 /// into `dst` without materializing an intermediate CombinationMap —
 /// existing keys are merged (or replaced when `replace_existing`), new keys
@@ -419,7 +439,7 @@ class MapSegmentIndex {
   std::vector<std::string> type_names_;
 };
 
-/// Total approximate footprint of a map's objects.
+/// Total approximate footprint of a map's objects (null slots count 0).
 std::size_t map_footprint_bytes(const CombinationMap& map);
 
 }  // namespace smart

@@ -7,8 +7,9 @@
 //
 // Execution of one run() call (Algorithm 1):
 //   1. combination map is (re)seeded by process_extra_data;
-//   2. per iteration: the seeded map is *distributed* — cloned into each
-//      worker's reduction map (skipped outright when the map is empty) —
+//   2. per iteration: the seeded map is *distributed* — copied into each
+//      worker's reduction map (skipped outright when the map is empty; an
+//      iterative run refreshes last iteration's worker objects in place) —
 //      then every worker walks its split of the block chunk by chunk:
 //      gen_key(s) -> accumulate in place on the keyed reduction object.
 //      No key-value pair is emitted, so there is no shuffle and the
@@ -61,6 +62,7 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/memory_tracker.h"
@@ -162,6 +164,7 @@ class Scheduler {
   void reset_combination_map() {
     combination_map_.clear();
     carry_map_.clear();
+    for (auto& rmap : reduction_maps_) rmap.clear();  // objects kept for reuse
     sync_tracked_objects();
   }
 
@@ -475,32 +478,54 @@ class Scheduler {
     }
   }
 
-  /// Algorithm 1 lines 3-6: clone the (seeded or post-combined) combination
+  /// Algorithm 1 lines 3-6: copy the (seeded or post-combined) combination
   /// map into every worker's reduction map so accumulate/merge see the
   /// iterative context.  The map itself stays in place as the read-only
   /// com_map argument to gen_key(s); local combination rebuilds it from the
-  /// worker maps (every seeded entry survives via its clones).  Non-seeded
+  /// worker maps (every seeded entry survives via its copies).  Non-seeded
   /// apps (empty map at this point) skip the per-worker pass entirely.
+  ///
+  /// In-place hand-back: local combination leaves every object it handed
+  /// out in the worker maps (see local_combination).  A worker map that
+  /// holds exactly the combination map's keys — the steady state of an
+  /// iterative run — is refreshed object by object through
+  /// RedObj::copy_from, so an iteration allocates nothing; objects that
+  /// decline the hook, null slots and mismatched key sets fall back to
+  /// clone().
   void distribute_combination_map() {
-    if (combination_map_.empty()) return;  // worker maps are already clear
+    reuse_worker_objects_ = !combination_map_.empty();
+    if (!reuse_worker_objects_) {
+      // Non-seeded: workers start from empty maps.  They already are,
+      // unless an earlier seeded iteration left its objects behind.
+      for (auto& rmap : reduction_maps_) {
+        if (!rmap.empty()) rmap.clear();
+      }
+      return;
+    }
     // Workers iterate the map concurrently (here and as gen_key's com_map
     // argument); restore key order now so no worker's begin() has to.
     combination_map_.ensure_sorted();
-    auto clone_into = [&](CombinationMap& rmap) {
-      rmap.clear();
-      rmap.reserve(combination_map_.size());
+    auto refresh = [&](CombinationMap& rmap) {
+      bool same_keys = rmap.size() == combination_map_.size();
+      for (auto it = combination_map_.begin(); same_keys && it != combination_map_.end(); ++it) {
+        same_keys = rmap.contains(it->first);
+      }
+      if (!same_keys) {
+        rmap.clear();
+        rmap.reserve(combination_map_.size());
+      }
       for (const auto& [key, obj] : combination_map_) {
-        auto cloned = obj->clone();
-        cloned->set_key(key);
-        rmap.emplace(key, std::move(cloned));
+        auto& slot = rmap[key];
+        if (!slot || !slot->copy_from(*obj)) slot = obj->clone();
+        slot->set_key(key);
       }
     };
     if (opts_.parallel_local_combine && reduction_maps_.size() > 1 &&
         combination_map_.size() >= kParallelCombineMinEntries) {
       pool_->parallel_region(
-          [&](int w) { clone_into(reduction_maps_[static_cast<std::size_t>(w)]); });
+          [&](int w) { refresh(reduction_maps_[static_cast<std::size_t>(w)]); });
     } else {
-      for (auto& rmap : reduction_maps_) clone_into(rmap);
+      for (auto& rmap : reduction_maps_) refresh(rmap);
     }
   }
 
@@ -725,9 +750,17 @@ class Scheduler {
   /// parallel clone in distribute_combination_map.
   static constexpr std::size_t kParallelCombineMinEntries = 64;
 
-  /// Algorithm 1 lines 11-17, local half: worker maps merge into the
-  /// node-local combination map (the seeded entries survive via their
-  /// worker clones, so the pre-phase map is simply replaced).
+  /// Algorithm 1 lines 11-17, local half: worker maps 1..T-1 merge into
+  /// worker 0's map in place, which then swaps with the combination map
+  /// (the seeded entries survive via their worker copies, so the pre-phase
+  /// map is simply replaced).  The result is w0 ⊕ w1 ⊕ … ⊕ w(T-1), grouped
+  /// left to right; a single worker's map just moves.
+  ///
+  /// When distribute_combination_map handed objects out this iteration,
+  /// the merges keep them (merge_map_keeping) and the swap parks the
+  /// previous combination map's objects in worker 0's map, so every worker
+  /// gets its objects back for the next distribute to refresh in place.
+  /// Otherwise merged maps are emptied as they go.
   ///
   /// With parallel_local_combine, the T worker maps merge pairwise on the
   /// pool as a binomial tree — round d merges map[w+d] into map[w] for
@@ -745,36 +778,36 @@ class Scheduler {
     std::size_t total_entries = 0;
     for (const auto& m : reduction_maps_) total_entries += m.size();
 
+    const MergeFn merge = merge_fn();
+    auto fold = [&](std::size_t src, std::size_t dst) {
+      if (reuse_worker_objects_) {
+        merge_map_keeping(reduction_maps_[src], reduction_maps_[dst], merge);
+      } else {
+        merge_map_into(std::move(reduction_maps_[src]), reduction_maps_[dst], merge);
+      }
+    };
+    double critical_path = 0.0;
     if (!opts_.parallel_local_combine || workers <= 1 ||
         total_entries < kParallelCombineMinEntries) {
-      CombinationMap fresh;
-      for (auto& rmap : reduction_maps_) {
-        merge_map_into(std::move(rmap), fresh, merge_fn());
-        rmap.clear();
+      for (std::size_t w = 1; w < workers; ++w) fold(w, 0);
+      critical_path = timer.seconds();
+    } else {
+      critical_path = timer.seconds();  // serial prologue
+      for (std::size_t dist = 1; dist < workers; dist *= 2) {
+        const std::vector<double> busy = pool_->parallel_region([&](int w) {
+          const auto uw = static_cast<std::size_t>(w);
+          if (uw % (2 * dist) != 0) return;
+          if (uw + dist < workers) fold(uw + dist, uw);
+        });
+        // Rounds are sequential; each costs its slowest merge.
+        double round = 0.0;
+        for (double b : busy) round = std::max(round, b);
+        critical_path += round;
       }
-      combination_map_ = std::move(fresh);
-      stats_.combination_seconds += timer.seconds();
-      return;
     }
-
-    double critical_path = timer.seconds();  // serial prologue
-    const MergeFn merge = merge_fn();
-    for (std::size_t dist = 1; dist < workers; dist *= 2) {
-      const std::vector<double> busy = pool_->parallel_region([&](int w) {
-        const auto uw = static_cast<std::size_t>(w);
-        if (uw % (2 * dist) != 0) return;
-        const std::size_t src = uw + dist;
-        if (src >= workers) return;
-        merge_map_into(std::move(reduction_maps_[src]), reduction_maps_[uw], merge);
-        reduction_maps_[src].clear();
-      });
-      // Rounds are sequential; each costs its slowest merge.
-      double round = 0.0;
-      for (double b : busy) round = std::max(round, b);
-      critical_path += round;
-    }
-    combination_map_ = std::move(reduction_maps_[0]);
-    reduction_maps_[0].clear();
+    // Without a hand-out the old combination map was empty, so worker 0
+    // gets an empty map back either way.
+    std::swap(combination_map_, reduction_maps_[0]);
     stats_.combination_seconds += critical_path;
   }
 
@@ -873,6 +906,9 @@ class Scheduler {
   RecoveryPolicy recovery_;
   std::vector<int> survivors_;  ///< degraded combination group; empty = everyone
   bool global_combination_ = true;
+  /// Set by distribute_combination_map: the worker maps hold copies of the
+  /// combination map this iteration, kept for reuse by local_combination.
+  bool reuse_worker_objects_ = false;
   std::size_t total_len_ = 0;
   std::size_t tracked_red_bytes_ = 0;
   std::unique_ptr<CircularBuffer<FeedCell>> feed_buffer_;

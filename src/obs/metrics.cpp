@@ -77,7 +77,7 @@ void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
-  histograms_.clear();
+  for (auto& [name, h] : histograms_) h->reset();
 }
 
 double MetricsSnapshot::Histogram::percentile(double q) const {

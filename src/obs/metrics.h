@@ -90,6 +90,13 @@ class FixedHistogram {
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
 
+  /// Zeroes buckets, count and sum; the bounds stay.
+  void reset() {
+    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+    count_.store(0, std::memory_order_relaxed);
+    sum_.store(0.0, std::memory_order_relaxed);
+  }
+
  private:
   std::vector<double> bounds_;
   std::vector<std::atomic<std::uint64_t>> buckets_;  ///< bounds_.size()+1, last = overflow
@@ -151,6 +158,9 @@ class MetricsRegistry {
   FixedHistogram& histogram(const std::string& name, std::vector<double> bounds);
 
   MetricsSnapshot snapshot() const;
+  /// Zeroes every metric in place.  Nothing is freed: instrument sites
+  /// cache the references get-or-create returned (typically in a
+  /// function-local static), and those must stay valid.
   void reset();
 
  private:

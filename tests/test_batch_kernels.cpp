@@ -9,8 +9,9 @@
 // chain, so equality here is EXPECT_EQ on doubles, not EXPECT_NEAR.
 //
 // Also covered: the kernel-level identities the batched apps rely on
-// (truncation == floor after clamping, hinted == unhinted argmin with the
-// lowest-index tie rule), trigger-driven mid-batch erase through the
+// (truncation == floor after clamping, lane-packed argmin == scalar argmin
+// with the lowest-index tie rule, NaN and infinite points included),
+// trigger-driven mid-batch erase through the
 // default accumulate_batch, split-policy invariance for integer apps, and
 // the worker_skew metric.  Registered under the `schedule` ctest label and
 // run under TSan by scripts/check.sh.
@@ -18,6 +19,8 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -28,6 +31,7 @@
 #include "analytics/histogram.h"
 #include "analytics/kmeans.h"
 #include "analytics/red_objs.h"
+#include "analytics/reference.h"
 #include "analytics/summary_stats.h"
 #include "common/rng.h"
 #include "core/scheduler.h"
@@ -94,8 +98,9 @@ TEST(HistogramKeys, StridedMatchesGatheredContiguous) {
   EXPECT_EQ(strided, contiguous);
 }
 
-// Reference argmin: full distances, strict <, lowest index wins ties —
-// the mathematical spec both the hinted and unhinted scans must realize.
+// Reference argmin: full distances, strict < from max, lowest index wins
+// ties — the spec every assignment path must realize.  A point whose every
+// distance fails `< max` (NaN or infinite coordinates) takes key 0.
 int ref_nearest(const double* pt, std::size_t dims, const double* centroids, std::size_t k) {
   int best_key = 0;
   double best = std::numeric_limits<double>::max();
@@ -113,14 +118,23 @@ int ref_nearest(const double* pt, std::size_t dims, const double* centroids, std
   return best_key;
 }
 
-TEST(NearestCentroids, HintedBlockedScanMatchesReference) {
+TEST(NearestCentroids, LaneKernelMatchesReference) {
   Rng rng(903);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   for (const std::size_t dims : {2u, 3u, 4u, 8u, 5u}) {  // 5 exercises the generic path
-    for (const std::size_t k : {1u, 2u, 7u}) {
+    for (const std::size_t k : {1u, 2u, 7u, 8u, 9u}) {  // odd k pads the last lane pair
       const std::size_t n = 403;  // not a multiple of 4: blocked body + tail
       std::vector<double> pts(n * dims), centroids(k * dims);
       for (auto& v : centroids) v = rng.uniform(-5.0, 5.0);
       for (auto& v : pts) v = rng.uniform(-5.0, 5.0);
+      // Non-finite rows inside blocks and in the tail: NaN anywhere, +inf,
+      // -inf, and inf next to NaN.
+      for (const std::size_t p : {6u, 41u, 42u, 123u, 401u}) pts[p * dims + dims - 1] = nan;
+      for (const std::size_t p : {9u, 77u, 402u}) pts[p * dims] = inf;
+      for (const std::size_t p : {10u, 250u}) pts[p * dims] = -inf;
+      pts[300 * dims] = inf;
+      pts[300 * dims + 1] = nan;
       std::vector<int> keys(n);
       kernels::nearest_centroids(pts.data(), n, dims, centroids.data(), k, keys.data());
       for (std::size_t p = 0; p < n; ++p) {
@@ -131,11 +145,32 @@ TEST(NearestCentroids, HintedBlockedScanMatchesReference) {
   }
 }
 
-TEST(NearestCentroids, TiesBreakToLowestIndexDespiteHintSeeding) {
+TEST(NearestCentroids, NanPointTakesKeyZeroNotTheNeighboursKey) {
+  // Eight points near c2 with a NaN in point 4: every distance of point 4
+  // is NaN, so the strict-< scan from max keeps key 0 — on the batched
+  // path exactly as on the scalar gen_key path (n = 1 per point).
+  const std::size_t dims = 2, k = 3;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> centroids = {0.0, 0.0, 5.0, 5.0, 10.0, 10.0};
+  std::vector<double> pts;
+  for (int i = 0; i < 8; ++i) pts.insert(pts.end(), {10.0 + 0.01 * i, 9.9});
+  pts[4 * dims + 1] = nan;
+  const std::size_t n = pts.size() / dims;
+  std::vector<int> batched(n);
+  kernels::nearest_centroids(pts.data(), n, dims, centroids.data(), k, batched.data());
+  for (std::size_t p = 0; p < n; ++p) {
+    int scalar = -1;
+    kernels::nearest_centroids(pts.data() + p * dims, 1, dims, centroids.data(), k, &scalar);
+    EXPECT_EQ(batched[p], scalar) << p;
+    EXPECT_EQ(batched[p], p == 4 ? 0 : 2) << p;
+  }
+}
+
+TEST(NearestCentroids, TiesBreakToLowestIndex) {
   // Duplicate centroids (every point ties across indices 0/2) and points
-  // exactly midway between two distinct centroids: the run-aware hint can
-  // seed the scan at any index, so only the full lowest-index tie rule
-  // keeps the result equal to the reference scan.
+  // exactly midway between two distinct centroids: lane 0 holds the even
+  // centroids and lane 1 the odd ones, so a tie across lanes must still
+  // resolve to the lower index, as the scalar scan does.
   const std::size_t dims = 4;
   const std::vector<double> centroids = {
       0.0, 0.0, 0.0, 0.0,  // c0
@@ -265,11 +300,51 @@ TEST(BatchedExactness, KMeansCentroidsBitForBit) {
     }
   }
   // Same thread count -> same chunk partition -> identical FP merge order:
-  // batched and scalar must agree bit-for-bit at T=1 and at T=3.
-  for (const int threads : {1, 3}) {
+  // batched and scalar must agree bit-for-bit at every thread count.
+  for (const int threads : {1, 2, 3, 4}) {
     const auto scalar = run_kmeans(data, threads, 0);
     const auto batched = run_kmeans(data, threads, 64);
     EXPECT_EQ(scalar, batched) << "threads=" << threads;
+  }
+}
+
+/// Bit patterns, so NaN results compare equal to themselves.
+std::vector<std::uint64_t> bits_of(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out(v.size());
+  std::memcpy(out.data(), v.data(), v.size() * sizeof(double));
+  return out;
+}
+
+TEST(BatchedExactness, KMeansWithNanPointsMatchesScalarAndReference) {
+  // NaN points take key 0 on every path, so cluster 0's sums (and then its
+  // centroid) turn NaN identically on the batched path (batch_chunks 64),
+  // the scalar path (0) and ref::kmeans, at every thread count.  The NaN
+  // rows follow runs of points near c1 and c2, where a key inherited from
+  // the neighbouring points would differ from 0.
+  Rng rng(913);
+  const std::size_t dims = 4, n = 1200, k = 3;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> data(n * dims);
+  for (std::size_t p = 0; p < n; ++p) {
+    const double base = (p / 40 % 3 == 0) ? 0.0 : (p / 40 % 3 == 1 ? 5.0 : -5.0);
+    for (std::size_t d = 0; d < dims; ++d) data[p * dims + d] = base + rng.gaussian(0.0, 0.8);
+  }
+  for (const std::size_t p : {45u, 90u, 93u, 530u, 1001u}) data[p * dims + 2] = nan;
+  const std::vector<double> init = {0.0, 0.0, 0.0, 0.0, 5.0, 5.0, 5.0, 5.0,
+                                    -5.0, -5.0, -5.0, -5.0};
+  const auto expected = ref::kmeans(data.data(), n, dims, k, 4, init);
+  for (const int threads : {1, 2, 4}) {
+    const auto scalar = run_kmeans(data, threads, 0);
+    const auto batched = run_kmeans(data, threads, 64);
+    EXPECT_EQ(bits_of(scalar), bits_of(batched)) << "threads=" << threads;
+    ASSERT_EQ(batched.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      if (std::isnan(expected[i])) {
+        EXPECT_TRUE(std::isnan(batched[i])) << "threads=" << threads << " i=" << i;
+      } else {
+        EXPECT_NEAR(batched[i], expected[i], 1e-9) << "threads=" << threads << " i=" << i;
+      }
+    }
   }
 }
 

@@ -427,6 +427,34 @@ TEST(FixedHistogram, InclusiveUpperBoundsAndOverflow) {
   EXPECT_NEAR(h.sum(), 23.001, 1e-9);
 }
 
+TEST(MetricsRegistry, ResetKeepsCachedReferencesValid) {
+  // Instrument sites cache get-or-create references in function-local
+  // statics, so reset() must zero metrics in place, never free them (an
+  // observe through the cached reference after reset would be a
+  // use-after-free, caught by the ASan pass in scripts/check.sh).
+  ObsTestGuard guard;
+  obs::set_metrics_enabled(true);
+  obs::MetricsRegistry reg;
+  obs::FixedHistogram& hist = reg.histogram("h", {1.0, 10.0});
+  obs::Counter& counter = reg.counter("c");
+  hist.observe(0.5);
+  hist.observe(20.0);
+  counter.add(3);
+  reg.reset();
+  hist.observe(5.0);
+  counter.add(1);
+  EXPECT_EQ(&reg.histogram("h", {2.0}), &hist);  // same object; old bounds kept
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  const auto& h = snap.histograms[0];
+  EXPECT_EQ(h.name, "h");
+  EXPECT_EQ(h.bounds, (std::vector<double>{1.0, 10.0}));
+  EXPECT_EQ(h.buckets, (std::vector<std::uint64_t>{0, 1, 0}));
+  EXPECT_EQ(h.count, 1u);
+  EXPECT_EQ(h.sum, 5.0);
+  EXPECT_EQ(snap.counters.at("c"), 1);
+}
+
 TEST(MetricsSnapshot, MergeSumsCountersMaxesGauges) {
   obs::MetricsSnapshot a;
   a.counters["msgs"] = 3;
