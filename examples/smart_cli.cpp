@@ -3,7 +3,7 @@
 // it runs the pipeline and reports results and runtime statistics.
 //
 //   $ ./smart_cli --sim heat3d --app histogram --ranks 4 --threads 2 --steps 5
-//   $ ./smart_cli --sim lulesh --app moving_median --mode space
+//   $ ./smart_cli --sim lulesh --app histogram --mode space
 //   $ ./smart_cli --sim heat3d --app summary --render /tmp/slab.pgm
 //   $ ./smart_cli --list
 #include <cstdio>
@@ -91,7 +91,7 @@ class SimDriver {
 void list_choices() {
   std::cout << "simulations: heat3d lulesh emulator\nanalytics:  ";
   for (const auto& name : smart::bench::app_names()) std::cout << " " << name;
-  std::cout << " summary topk\nmodes:       time space\n";
+  std::cout << " summary topk\nmodes:       time space (space: histogram only)\n";
 }
 
 /// Writes the attribution outputs for a path result; `out` may be "-" for
@@ -146,6 +146,12 @@ int run(const ArgParser& args) {
   const auto size_hint = static_cast<std::size_t>(args.get_long("size"));
   if (mode != "time" && mode != "space") {
     throw std::invalid_argument("--mode must be 'time' or 'space'");
+  }
+  if (mode == "space" && app_name != "histogram") {
+    // Only the histogram engine's feed/run pair drives space sharing here;
+    // refuse other apps rather than silently analyzing with a substitute.
+    std::fprintf(stderr, "error: --mode space supports only --app histogram\n");
+    return 1;
   }
 
   // Interconnect model: SMART_NET_* environment first, explicit flags win.
@@ -243,9 +249,9 @@ int run(const ArgParser& args) {
     if (mode == "time") {
       for (int s = 0; s < steps; ++s) app->run(sim.step(), sim.output_len());
     } else {
-      // Space sharing: a private histogram engine drives the feed/run pair
-      // (the facade's schedulers expose run(data, len) only), so the CLI
-      // demonstrates the mode with the bucketed app it maps to.
+      // Space sharing (histogram only, checked before launch): a histogram
+      // engine drives the feed/run pair, since the facade's schedulers
+      // expose run(data, len) only.
       analytics::Histogram<double> hist(SchedArgs(threads, 1), sim.data_min(), sim.data_max(),
                                         256);
       hist.set_global_combination(false);
@@ -342,7 +348,7 @@ int main(int argc, char** argv) {
       .option("threads", "threads per rank", "2")
       .option("steps", "time-steps to simulate", "3")
       .option("size", "per-rank size hint (heat3d nz / lulesh edge)", "24")
-      .option("mode", "in-situ mode: time | space", "time")
+      .option("mode", "in-situ mode: time | space (space: histogram only)", "time")
       .option("render", "write the final plane to this PGM path (summary app)")
       .option("trace-out", "write a Chrome/Perfetto trace of the run to this JSON path")
       .option("critpath-out", "write the critical-path bottleneck report here ('-' = stdout)")

@@ -117,14 +117,24 @@ _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def load_runs(path):
-    """name -> benchmark entry (aggregates skipped; first run of a name wins)."""
+    """name -> benchmark entry.
+
+    A name's median aggregate wins when the run was repeated
+    (--benchmark_repetitions): one slow repetition on a loaded host then
+    cannot fail a pair.  Single-run files (the committed baselines) have no
+    aggregates, so their first iteration of a name is used.
+    """
     with open(path) as f:
         doc = json.load(f)
     runs = {}
+    medians = {}
     for b in doc.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
+            if b.get("aggregate_name") == "median":
+                medians[b["run_name"]] = b
             continue
         runs.setdefault(b["name"], b)
+    runs.update(medians)
     return runs
 
 

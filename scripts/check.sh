@@ -160,11 +160,13 @@ echo "== tier-1: bench regression gate =="
 # is >25% worse than the committed one fails (scripts/bench_gate.py).  The
 # ratio-of-ratios form makes the gate machine-relative, so it holds on
 # hosts faster or slower than the one that recorded the committed file.
+# Five repetitions per bench: the gate reads each one's median, so a single
+# slow repetition on a loaded host does not fail a pair.
 if [[ -f "$repo/BENCH_transport.json" ]]; then
   bench_gate_json="$repo/build/check_bench_gate.json"
   "$repo/build/bench/micro_transport" \
     --benchmark_filter='AnySourceFanIn|ExactSourceRecv|Bcast1MiB8Ranks|BufferPerMessage' \
-    --benchmark_min_time=0.05 \
+    --benchmark_min_time=0.05 --benchmark_repetitions=5 \
     --benchmark_out="$bench_gate_json" --benchmark_out_format=json >/dev/null
   # With a committed attribution on record, the gate also localizes any
   # regression: the fresh run's critpath JSON (from the validation step
@@ -187,12 +189,13 @@ fi
 # whole scheduler — pool dispatch, map distribution, merge — so their
 # run-to-run ratio spread on a shared 1-CPU container is wider than the
 # tight transport microloops'.  A real kernel regression (losing the 2x+)
-# still lands far outside 1.4x of the committed ratio.
+# still lands far outside 1.4x of the committed ratio.  Medians of five
+# repetitions, as in the transport gate.
 if [[ -f "$repo/BENCH_core.json" ]]; then
   bench_core_gate_json="$repo/build/check_bench_core_gate.json"
   "$repo/build/bench/micro_core_ops" \
     --benchmark_filter='StdMapAccumulate|ReductionMapAccumulate|MapInsert|ScalarAccumulate|BatchedAccumulate|HistogramKeys|NearestCentroids' \
-    --benchmark_min_time=0.05 \
+    --benchmark_min_time=0.05 --benchmark_repetitions=5 \
     --benchmark_out="$bench_core_gate_json" --benchmark_out_format=json >/dev/null
   python3 "$repo/scripts/bench_gate.py" --pairs core "$repo/BENCH_core.json" \
     "$bench_core_gate_json" 1.4
@@ -205,12 +208,14 @@ fi
 # copying baselines' megabytes, and the planner-driven combine must keep
 # beating the forced tree on every topology.  Both gate on counters
 # (payload_bytes_copied_per_round / virtual_makespan_s) rather than wall
-# time — deterministic on any host, so this gate cannot flake.
+# time.  The copy counter is exact; the virtual makespan still charges
+# measured compute time to the virtual clock, so one loaded repetition can
+# double it — the gate reads the median of five, as above.
 if [[ -f "$repo/BENCH_transport.json" ]]; then
   bench_collective_gate_json="$repo/build/check_bench_collective_gate.json"
   "$repo/build/bench/micro_transport" \
     --benchmark_filter='Alltoall8Ranks|ScatterGather8Ranks|CombineMakespan' \
-    --benchmark_min_time=0.05 \
+    --benchmark_min_time=0.05 --benchmark_repetitions=5 \
     --benchmark_out="$bench_collective_gate_json" --benchmark_out_format=json >/dev/null
   python3 "$repo/scripts/bench_gate.py" --pairs collective \
     "$repo/BENCH_transport.json" "$bench_collective_gate_json"

@@ -16,8 +16,11 @@ namespace {
 constexpr int kTreeTag = -9000;
 constexpr int kRingReduceTag = -9200;
 constexpr int kRingGatherTag = -9400;
-constexpr int kDirectTag = -9500;         ///< direct: binomial reduce payloads
-constexpr int kDirectResultTag = -9501;   ///< direct: root's shared fan-out
+constexpr int kDirectTag = -9500;  ///< direct: reduce payloads; fan-out on kDirectTag - 1
+// Fault-tolerant rounds burn two tags per recovery round, descending from
+// here, so round r+1 never matches round r's leftovers.  Attempts *within*
+// a round share its tags on purpose — see begin_recovery_round().
+constexpr int kFtBaseTag = -9600;
 
 /// Per-decision planner counters (collective.plan.tree|ring|direct): how
 /// often the auto mode resolved to each algorithm, riding the usual
@@ -40,10 +43,44 @@ void count_plan(simmpi::CollectiveAlgo algo) {
       break;
   }
 }
-// Fault-tolerant rounds burn two tags per recovery round, descending from
-// here, so round r+1 never matches round r's leftovers.  Attempts *within*
-// a round share its tags on purpose — see begin_recovery_round().
-constexpr int kFtBaseTag = -9600;
+/// Ranks taking part in a round (`group` empty = all of `comm`).
+int group_size(const simmpi::Communicator& comm, std::span<const int> group) {
+  return group.empty() ? comm.size() : static_cast<int>(group.size());
+}
+
+/// Rank in `comm` of group position `g`.
+int group_rank(std::span<const int> group, int g) {
+  return group.empty() ? g : group[static_cast<std::size_t>(g)];
+}
+
+/// The static {MapCombineStats::algorithm, combine.* span name} of a round.
+std::pair<const char*, const char*> algorithm_names(simmpi::CollectiveAlgo algo,
+                                                    bool fault_tolerant) {
+  if (fault_tolerant) return {"ft_tree", "combine.ft_tree"};
+  switch (algo) {
+    case simmpi::CollectiveAlgo::kRing:
+      return {"ring", "combine.ring"};
+    case simmpi::CollectiveAlgo::kDirect:
+      return {"direct", "combine.direct"};
+    case simmpi::CollectiveAlgo::kTree:
+      break;
+  }
+  return {"tree", "combine.tree"};
+}
+
+/// Replaces `map` with the global result the root fanned out (the one
+/// full-map decode site).
+void adopt_result(const SharedBuffer& global, CombinationMap& map, MapCombineStats& stats) {
+  ThreadCpuTimer codec;
+  {
+    obs::TraceSpan cspan("codec.decode", "codec",
+                         {{"bytes", static_cast<std::int64_t>(global.size())}});
+    Reader r(global);
+    map = deserialize_map(r);
+  }
+  stats.codec_seconds += codec.seconds();
+  ++stats.map_deserializes;
+}
 }  // namespace
 
 void MapCombiner::prepare_wire() {
@@ -55,42 +92,71 @@ void MapCombiner::prepare_wire() {
 }
 
 MapCombineStats MapCombiner::allreduce(simmpi::Communicator& comm, CombinationMap& map,
-                                       const MergeFn& merge, double peer_timeout_seconds) {
+                                       const MergeFn& merge, double peer_timeout_seconds,
+                                       std::span<const int> group) {
   MapCombineStats stats;
-  if (comm.size() <= 1) return stats;
+  const int m = group_size(comm, group);
+  if (m <= 1) return stats;
   const std::size_t sent_before = comm.bytes_sent();
   // Combination-round stamp: the critical-path profiler rolls attributed
   // time up per round, so every combine.* span names the round it served.
   const std::int64_t round = combine_round_++;
-  if (peer_timeout_seconds > 0.0) {
-    // Fault-tolerant round over the full rank set.  Always the tree: the
-    // ring needs every rank alive and the auto decision's first-round
-    // consensus is an unbounded collective — neither survives a dead peer.
-    obs::TraceSpan span("combine.ft_tree", "sched", {{"round", round}});
-    std::vector<int> all(static_cast<std::size_t>(comm.size()));
-    for (int r = 0; r < comm.size(); ++r) all[static_cast<std::size_t>(r)] = r;
-    ft_tree_allreduce(comm, all, map, merge, peer_timeout_seconds, stats);
-    stats.algorithm = "ft_tree";
+  // A fault-tolerant round always runs the direct shape: the ring needs
+  // every rank alive, auto's first-round consensus is an unbounded
+  // collective, and interior bcast forwarding would let one rank's death
+  // strand its whole subtree — direct sends keep every delivery
+  // independent, which matters more than latency here.
+  const bool fault_tolerant = peer_timeout_seconds > 0.0 || !group.empty();
+  const simmpi::CollectiveAlgo algo =
+      fault_tolerant ? simmpi::CollectiveAlgo::kDirect : plan(comm, map);
+  const auto [algorithm, span_name] = algorithm_names(algo, fault_tolerant);
+  stats.algorithm = algorithm;
+  obs::TraceSpan span(span_name, "sched");
+  // Only degraded rounds carry "survivors" (obs/critpath.cpp keys on it).
+  if (!group.empty()) span.arg("survivors", m);
+  span.arg("round", round);
+
+  if (algo == simmpi::CollectiveAlgo::kRing) {
+    ring_allreduce(comm, map, merge, stats);
   } else {
-    switch (plan(comm, map)) {
-      case simmpi::CollectiveAlgo::kRing: {
-        obs::TraceSpan span("combine.ring", "sched", {{"round", round}});
-        ring_allreduce(comm, map, merge, stats);
-        stats.algorithm = "ring";
-        break;
+    // Fault-tolerant rounds use two tags per recovery round, shared by
+    // every attempt of the round (full-group, retried, and degraded
+    // alike).  A stale payload from an aborted attempt is byte-identical
+    // to its resend — the sender rolled back to its pre-round map first —
+    // so consuming it is harmless, and a rank that finished the round
+    // early can satisfy a still-retrying peer's receive from the result it
+    // already sent.  Per-*attempt* tags would instead require attempt
+    // lockstep, which partial failures break.
+    const int payload_tag = fault_tolerant                          ? kFtBaseTag - 2 * ft_round_
+                            : algo == simmpi::CollectiveAlgo::kTree ? kTreeTag
+                                                                    : kDirectTag;
+    const int me = reduce(comm, group, map, merge, payload_tag, peer_timeout_seconds, stats);
+    if (algo == simmpi::CollectiveAlgo::kTree) {
+      // The root's live map *is* the result — it serializes once for the
+      // wire and never deserializes.  The whole binomial tree shares the
+      // root's serialized bytes (bcast_shared), and every non-root
+      // deserializes straight out of them: no per-child copies, and the
+      // storage returns to the BufferPool when the last rank drops its
+      // reference.
+      SharedBuffer result;
+      if (me == 0) {
+        encode_map(map, stats);
+        result = make_shared_buffer(std::move(wire_));
       }
-      case simmpi::CollectiveAlgo::kDirect: {
-        obs::TraceSpan span("combine.direct", "sched", {{"round", round}});
-        direct_allreduce(comm, map, merge, stats);
-        stats.algorithm = "direct";
-        break;
-      }
-      case simmpi::CollectiveAlgo::kTree: {
-        obs::TraceSpan span("combine.tree", "sched", {{"round", round}});
-        tree_allreduce(comm, map, merge, stats);
-        stats.algorithm = "tree";
-        break;
-      }
+      comm.bcast_shared(result, 0);
+      if (me != 0) adopt_result(result, map, stats);
+    } else if (me == 0) {
+      // Direct fan-out: one serialize, one SharedBuffer handed to every
+      // peer — no interior forwarding, no per-peer copies.
+      encode_map(map, stats);
+      const SharedBuffer result = make_shared_buffer(std::move(wire_));
+      for (int g = 1; g < m; ++g) comm.send_shared(group_rank(group, g), payload_tag - 1, result);
+    } else {
+      const int root = group_rank(group, 0);
+      adopt_result(peer_timeout_seconds > 0.0
+                       ? comm.recv_shared_timeout(root, payload_tag - 1, peer_timeout_seconds)
+                       : comm.recv_shared(root, payload_tag - 1),
+                   map, stats);
     }
   }
   stats.wire_bytes = comm.bytes_sent() - sent_before;
@@ -102,109 +168,61 @@ MapCombineStats MapCombiner::allreduce(simmpi::Communicator& comm, CombinationMa
   return stats;
 }
 
-MapCombineStats MapCombiner::allreduce_surviving(simmpi::Communicator& comm,
-                                                 const std::vector<int>& alive,
-                                                 CombinationMap& map, const MergeFn& merge,
-                                                 double peer_timeout_seconds) {
-  MapCombineStats stats;
-  if (alive.size() <= 1) return stats;
-  const std::size_t sent_before = comm.bytes_sent();
-  obs::TraceSpan span("combine.ft_tree", "sched",
-                      {{"survivors", static_cast<std::int64_t>(alive.size())},
-                       {"round", combine_round_++}});
-  ft_tree_allreduce(comm, alive, map, merge, peer_timeout_seconds, stats);
-  stats.algorithm = "ft_tree";
-  stats.wire_bytes = comm.bytes_sent() - sent_before;
-  agreed_footprint_ = map_footprint_bytes(map);
-  have_agreed_footprint_ = true;
-  return stats;
-}
-
-void MapCombiner::ft_tree_allreduce(simmpi::Communicator& comm, const std::vector<int>& ranks,
-                                    CombinationMap& map, const MergeFn& merge,
-                                    double timeout_seconds, MapCombineStats& stats) {
-  // Two tags per recovery round, shared by every attempt of the round
-  // (full-group, retried, and degraded alike).  A stale payload from an
-  // aborted attempt is byte-identical to its resend — the sender rolled
-  // back to its pre-round map first — so consuming it is harmless, and a
-  // rank that finished the round early can satisfy a still-retrying
-  // peer's receive from the result it already sent.  Per-*attempt* tags
-  // would instead require attempt lockstep, which partial failures break.
-  const int payload_tag = kFtBaseTag - 2 * ft_round_;
-  const int result_tag = payload_tag - 1;
-
-  const int m = static_cast<int>(ranks.size());
-  const auto it = std::find(ranks.begin(), ranks.end(), comm.rank());
-  if (it == ranks.end()) {
-    throw std::logic_error("MapCombiner: this rank is not in the combination group");
+int MapCombiner::reduce(simmpi::Communicator& comm, std::span<const int> group,
+                        CombinationMap& map, const MergeFn& merge, int tag,
+                        double timeout_seconds, MapCombineStats& stats) {
+  const int m = group_size(comm, group);
+  int me = comm.rank();
+  if (!group.empty()) {
+    const auto it = std::find(group.begin(), group.end(), comm.rank());
+    if (it == group.end()) {
+      throw std::logic_error("MapCombiner: this rank is not in the combination group");
+    }
+    me = static_cast<int>(it - group.begin());
   }
-  const int me = static_cast<int>(it - ranks.begin());
-  const auto peer = [&](int group_rank) { return ranks[static_cast<std::size_t>(group_rank)]; };
-
-  // Binomial reduction to the group's first rank (timed receives).
+  // Binomial reduction to position 0, mirroring Communicator::reduce's
+  // schedule so the merge order (and therefore every floating-point
+  // accumulation) is bit-identical to the Buffer-lambda path this
+  // replaces.  The difference: a receiving rank absorbs the child's
+  // payload straight into its live map, and only serializes once — when
+  // handing its merged map up.
   for (int dist = 1; dist < m; dist <<= 1) {
     if (me % (2 * dist) == 0) {
       if (me + dist < m) {
-        Buffer child = comm.recv_timeout(peer(me + dist), payload_tag, timeout_seconds);
+        const int child = group_rank(group, me + dist);
+        Buffer payload = timeout_seconds > 0.0 ? comm.recv_timeout(child, tag, timeout_seconds)
+                                               : comm.recv(child, tag);
         ThreadCpuTimer codec;
         {
           obs::TraceSpan cspan("codec.decode", "codec",
-                               {{"bytes", static_cast<std::int64_t>(child.size())}});
-          Reader r(child);
+                               {{"bytes", static_cast<std::int64_t>(payload.size())}});
+          Reader r(payload);
           stats.map_merges += absorb_serialized_map(r, map, merge);
         }
         stats.codec_seconds += codec.seconds();
-        BufferPool::release(std::move(child));
+        BufferPool::release(std::move(payload));
       }
     } else {
-      ThreadCpuTimer codec;
-      prepare_wire();
-      {
-        obs::TraceSpan cspan("codec.encode", "codec");
-        serialize_map(map, wire_);
-        cspan.arg("bytes", static_cast<std::int64_t>(wire_.size()));
-      }
-      stats.codec_seconds += codec.seconds();
-      ++stats.map_serializes;
-      stats.bytes_encoded += wire_.size();
-      if (wire_.size() > wire_hint_) wire_hint_ = wire_.size();
-      comm.send(peer(me - dist), payload_tag, std::move(wire_));
+      encode_map(map, stats);
+      comm.send(group_rank(group, me - dist), tag, std::move(wire_));
       break;
     }
   }
+  return me;
+}
 
-  // Direct fan-out of the result: the root sends the merged map straight
-  // to every survivor.  Interior bcast forwarding would make one rank's
-  // death strand its whole subtree; direct sends keep every delivery
-  // independent, which matters more than latency here.  Every survivor is
-  // handed the same SharedBuffer — one serialize, zero per-peer copies.
-  if (me == 0) {
-    ThreadCpuTimer codec;
-    prepare_wire();
-    {
-      obs::TraceSpan cspan("codec.encode", "codec");
-      serialize_map(map, wire_);
-      cspan.arg("bytes", static_cast<std::int64_t>(wire_.size()));
-    }
-    stats.codec_seconds += codec.seconds();
-    ++stats.map_serializes;
-    stats.bytes_encoded += wire_.size();
-    if (wire_.size() > wire_hint_) wire_hint_ = wire_.size();
-    const SharedBuffer result = make_shared_buffer(std::move(wire_));
-    for (int g = 1; g < m; ++g) comm.send_shared(peer(g), result_tag, result);
-  } else {
-    const SharedBuffer global =
-        comm.recv_shared_timeout(peer(0), result_tag, timeout_seconds);
-    ThreadCpuTimer codec;
-    {
-      obs::TraceSpan cspan("codec.decode", "codec",
-                           {{"bytes", static_cast<std::int64_t>(global.size())}});
-      Reader r(global);
-      map = deserialize_map(r);
-    }
-    stats.codec_seconds += codec.seconds();
-    ++stats.map_deserializes;
+void MapCombiner::encode_map(const CombinationMap& map, MapCombineStats& stats) {
+  ThreadCpuTimer codec;
+  prepare_wire();
+  {
+    obs::TraceSpan cspan("codec.encode", "codec");
+    serialize_map(map, wire_);
+    cspan.arg("bytes", static_cast<std::int64_t>(wire_.size()));
   }
+  stats.codec_seconds += codec.seconds();
+  ++stats.map_serializes;
+  stats.bytes_encoded += wire_.size();
+  if (wire_.size() > wire_hint_) wire_hint_ = wire_.size();
 }
 
 simmpi::CollectiveAlgo MapCombiner::plan(simmpi::Communicator& comm, const CombinationMap& map) {
@@ -229,152 +247,10 @@ simmpi::CollectiveAlgo MapCombiner::plan(simmpi::Communicator& comm, const Combi
   // bound on any topology — the tree's fewer messages and single encode
   // win regardless of link costs, so the crossover acts as a floor and
   // the planner is only consulted above it.
-  if (estimate < ring_crossover_bytes_) return simmpi::CollectiveAlgo::kTree;
+  if (estimate < kDefaultRingCrossoverBytes) return simmpi::CollectiveAlgo::kTree;
   const simmpi::CollectivePlan p = simmpi::CollectivePlanner::plan_allreduce(comm, estimate);
   count_plan(p.algo);
   return p.algo;
-}
-
-void MapCombiner::direct_allreduce(simmpi::Communicator& comm, CombinationMap& map,
-                                   const MergeFn& merge, MapCombineStats& stats) {
-  const int n = comm.size();
-  const int rank = comm.rank();
-  // Binomial reduction to rank 0 — the same schedule (and therefore the
-  // same bit-exact merge order) as tree_allreduce, on the direct tags.
-  for (int dist = 1; dist < n; dist <<= 1) {
-    if (rank % (2 * dist) == 0) {
-      if (rank + dist < n) {
-        Buffer child = comm.recv(rank + dist, kDirectTag);
-        ThreadCpuTimer codec;
-        {
-          obs::TraceSpan cspan("codec.decode", "codec",
-                               {{"bytes", static_cast<std::int64_t>(child.size())}});
-          Reader r(child);
-          stats.map_merges += absorb_serialized_map(r, map, merge);
-        }
-        stats.codec_seconds += codec.seconds();
-        BufferPool::release(std::move(child));
-      }
-    } else {
-      ThreadCpuTimer codec;
-      prepare_wire();
-      {
-        obs::TraceSpan cspan("codec.encode", "codec");
-        serialize_map(map, wire_);
-        cspan.arg("bytes", static_cast<std::int64_t>(wire_.size()));
-      }
-      stats.codec_seconds += codec.seconds();
-      ++stats.map_serializes;
-      stats.bytes_encoded += wire_.size();
-      if (wire_.size() > wire_hint_) wire_hint_ = wire_.size();
-      comm.send(rank - dist, kDirectTag, std::move(wire_));
-      break;
-    }
-  }
-  // Root fan-out: one serialize, one SharedBuffer handed to every peer —
-  // no interior forwarding, no per-peer copies.  The planner chose this
-  // shape because the root's links are cheap relative to interior tree
-  // hops (or the group is small enough that fan-out beats tree latency).
-  if (rank == 0) {
-    ThreadCpuTimer codec;
-    prepare_wire();
-    {
-      obs::TraceSpan cspan("codec.encode", "codec");
-      serialize_map(map, wire_);
-      cspan.arg("bytes", static_cast<std::int64_t>(wire_.size()));
-    }
-    stats.codec_seconds += codec.seconds();
-    ++stats.map_serializes;
-    stats.bytes_encoded += wire_.size();
-    if (wire_.size() > wire_hint_) wire_hint_ = wire_.size();
-    const SharedBuffer result = make_shared_buffer(std::move(wire_));
-    for (int peer = 1; peer < n; ++peer) comm.send_shared(peer, kDirectResultTag, result);
-  } else {
-    const SharedBuffer global = comm.recv_shared(0, kDirectResultTag);
-    ThreadCpuTimer codec;
-    {
-      obs::TraceSpan cspan("codec.decode", "codec",
-                           {{"bytes", static_cast<std::int64_t>(global.size())}});
-      Reader r(global);
-      map = deserialize_map(r);
-    }
-    stats.codec_seconds += codec.seconds();
-    ++stats.map_deserializes;
-  }
-}
-
-void MapCombiner::tree_allreduce(simmpi::Communicator& comm, CombinationMap& map,
-                                 const MergeFn& merge, MapCombineStats& stats) {
-  const int n = comm.size();
-  const int rank = comm.rank();
-  // Binomial reduction to rank 0, mirroring Communicator::reduce's schedule
-  // so the merge order (and therefore every floating-point accumulation) is
-  // bit-identical to the Buffer-lambda path this replaces.  The difference:
-  // a receiving rank absorbs the child's payload straight into its live
-  // map, and only serializes once — when handing its merged map up.
-  for (int dist = 1; dist < n; dist <<= 1) {
-    if (rank % (2 * dist) == 0) {
-      if (rank + dist < n) {
-        Buffer child = comm.recv(rank + dist, kTreeTag);
-        ThreadCpuTimer codec;
-        {
-          obs::TraceSpan cspan("codec.decode", "codec",
-                               {{"bytes", static_cast<std::int64_t>(child.size())}});
-          Reader r(child);
-          stats.map_merges += absorb_serialized_map(r, map, merge);
-        }
-        stats.codec_seconds += codec.seconds();
-        BufferPool::release(std::move(child));
-      }
-    } else {
-      ThreadCpuTimer codec;
-      prepare_wire();
-      {
-        obs::TraceSpan cspan("codec.encode", "codec");
-        serialize_map(map, wire_);
-        cspan.arg("bytes", static_cast<std::int64_t>(wire_.size()));
-      }
-      stats.codec_seconds += codec.seconds();
-      ++stats.map_serializes;
-      stats.bytes_encoded += wire_.size();
-      if (wire_.size() > wire_hint_) wire_hint_ = wire_.size();
-      comm.send(rank - dist, kTreeTag, std::move(wire_));
-      break;
-    }
-  }
-  // Broadcast the globally merged map.  The root's live map *is* the
-  // result — it serializes once for the wire and never deserializes.  The
-  // whole binomial tree shares the root's serialized bytes (bcast_shared),
-  // and every non-root deserializes straight out of them: no per-child
-  // copies, no materializing copy at the leaves, and the storage returns
-  // to the BufferPool when the last rank drops its reference.
-  if (rank == 0) {
-    ThreadCpuTimer codec;
-    prepare_wire();
-    {
-      obs::TraceSpan cspan("codec.encode", "codec");
-      serialize_map(map, wire_);
-      cspan.arg("bytes", static_cast<std::int64_t>(wire_.size()));
-    }
-    stats.codec_seconds += codec.seconds();
-    ++stats.map_serializes;
-    stats.bytes_encoded += wire_.size();
-    if (wire_.size() > wire_hint_) wire_hint_ = wire_.size();
-    SharedBuffer result = make_shared_buffer(std::move(wire_));
-    comm.bcast_shared(result, 0);
-  } else {
-    SharedBuffer global;
-    comm.bcast_shared(global, 0);
-    ThreadCpuTimer codec;
-    {
-      obs::TraceSpan cspan("codec.decode", "codec",
-                           {{"bytes", static_cast<std::int64_t>(global.size())}});
-      Reader r(global);
-      map = deserialize_map(r);
-    }
-    stats.codec_seconds += codec.seconds();
-    ++stats.map_deserializes;
-  }
 }
 
 void MapCombiner::ring_allreduce(simmpi::Communicator& comm, CombinationMap& map,
@@ -384,7 +260,6 @@ void MapCombiner::ring_allreduce(simmpi::Communicator& comm, CombinationMap& map
   const int right = (rank + 1) % n;
   const int left = (rank - 1 + n) % n;
   const auto mod = [n](int x) { return ((x % n) + n) % n; };
-  stats.used_ring = true;
 
   // Segment index: one O(keys) pass buckets every key into its segment's
   // ordered list, so each of the n-1 encode steps below walks only the

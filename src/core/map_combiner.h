@@ -8,14 +8,17 @@
 // merged state as a live CombinationMap at interior tree nodes and only
 // touches serialized Buffers at rank boundaries:
 //
-//   * tree (latency-optimal, the default): a rank absorbs each child's wire
-//     payload directly into its live map (absorb_serialized_map — no
-//     intermediate map, no re-serialize), serializes its merged map exactly
-//     once when it hands the result up (or, at the root, for the
-//     broadcast), and deserializes exactly once when the broadcast result
-//     arrives (the root not at all).  Per rank per round: ≤1 serialize_map,
-//     ≤1 deserialize_map, and the merge schedule is bit-identical to the
-//     Buffer-lambda path.
+//   * reduce (shared by every full-map algorithm): a binomial reduction to
+//     the group's first rank.  A rank absorbs each child's wire payload
+//     directly into its live map (absorb_serialized_map — no intermediate
+//     map, no re-serialize) and serializes its merged map exactly once, when
+//     it hands the result up.  The merge schedule is bit-identical to the
+//     Buffer-lambda path.  Two fan-outs then deliver the root's result,
+//     serialized once, and every other rank deserializes it exactly once
+//     (the root never does): per rank per round ≤1 serialize_map and ≤1
+//     deserialize_map.
+//   * tree (latency-optimal, the default): reduce, then bcast_shared of the
+//     root's bytes down the binomial tree.
 //   * ring (bandwidth-optimal): keys are partitioned into `size()` segments
 //     by floor-modulo; a reduce-scatter leaves each rank with one globally
 //     merged segment, then an allgather circulates the finished segments —
@@ -24,9 +27,11 @@
 //     shipping S·log n), mirroring allreduce_sum_ring.  Codec work is per
 //     segment, so the full-map codec counters stay at zero; the cost is
 //     visible in codec_seconds / wire_bytes.
-//   * direct: binomial reduce to rank 0, then the root fans the shared
-//     result straight to every peer (one serialize, zero per-peer copies —
-//     the same delivery shape as the fault-tolerant path, minus timeouts).
+//   * direct: reduce, then the root hands one SharedBuffer straight to
+//     every peer (zero per-peer copies, no interior forwarding).
+//   * fault-tolerant ("ft_tree"): direct over a rank group (the whole
+//     communicator, or the survivors of a failed round) on the recovery
+//     round's tags, with every receive bounded by a deadline.
 //   * auto: plan-driven.  Below the measured flat-model crossover
 //     (kDefaultRingCrossoverBytes, from bench/micro_core_ops
 //     BM_MapCombineAlgorithms) the tree always wins — that regime is
@@ -47,6 +52,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "common/serialize.h"
 #include "core/red_obj.h"
@@ -63,7 +69,6 @@ struct MapCombineStats {
   std::size_t bytes_encoded = 0;     ///< serialized bytes this rank produced
   std::size_t wire_bytes = 0;        ///< payload bytes this rank shipped
   double codec_seconds = 0.0;        ///< time in serialize/deserialize/absorb
-  bool used_ring = false;
   /// Algorithm that ran: "tree" | "ring" | "direct" | "ft_tree" | "none"
   /// (static strings; "none" = trivial single-rank round).
   const char* algorithm = "none";
@@ -73,31 +78,36 @@ class MapCombiner {
  public:
   enum class Algorithm { kAuto, kTree, kRing, kDirect };
 
-  /// Auto crossover: serialized maps estimated larger than this go over the
-  /// ring.  Default from bench/micro_core_ops BM_MapCombineAlgorithms on
-  /// the container (tree wins below ~64 KiB where latency dominates).
+  /// Auto crossover floor: serialized maps estimated below this always use
+  /// the tree; above it the planner decides.  From bench/micro_core_ops
+  /// BM_MapCombineAlgorithms on the container (tree wins below ~64 KiB
+  /// where latency dominates).
   static constexpr std::size_t kDefaultRingCrossoverBytes = 64 * 1024;
 
-  explicit MapCombiner(Algorithm algorithm = Algorithm::kAuto,
-                       std::size_t ring_crossover_bytes = kDefaultRingCrossoverBytes)
-      : algorithm_(algorithm), ring_crossover_bytes_(ring_crossover_bytes) {}
+  explicit MapCombiner(Algorithm algorithm = Algorithm::kAuto) : algorithm_(algorithm) {}
 
   Algorithm algorithm() const { return algorithm_; }
   void set_algorithm(Algorithm algorithm) { algorithm_ = algorithm; }
 
   /// In-place allreduce of `map` across `comm` using the app's merge().
-  /// Collective: every rank of `comm` must call it with the same algorithm
-  /// configuration.  On return every rank holds the identical global map.
+  /// Collective: every rank of the group must call it with the same
+  /// algorithm configuration.  On return every rank holds the identical
+  /// global map.
   ///
-  /// With `peer_timeout_seconds > 0` the round is fault-tolerant: every
-  /// receive is bounded and a silent peer raises simmpi::PeerUnreachable
-  /// (possibly leaving this rank's map partially merged — callers roll
-  /// back and retry; core/scheduler.h does).  The fault-tolerant round
-  /// always uses the tree, tagged by the recovery round (see
-  /// begin_recovery_round), so a payload from round r can never be
-  /// consumed by round r+1.
+  /// With `peer_timeout_seconds > 0` or a non-empty `group` the round is
+  /// fault-tolerant: it always runs the direct shape (the ring needs every
+  /// rank alive, and auto's first-round consensus is an unbounded
+  /// collective), tagged by the recovery round (see begin_recovery_round),
+  /// so a payload from round r can never be consumed by round r+1.  Every
+  /// receive is bounded by the timeout (0 = unbounded) and a silent peer
+  /// raises simmpi::PeerUnreachable, possibly leaving this rank's map
+  /// partially merged — callers roll back and retry; core/scheduler.h
+  /// does.  `group` lists the participating ranks (ascending, containing
+  /// this rank; empty = all of `comm`): degraded rounds pass the survivors
+  /// of a failed round, from Communicator::alive_ranks(), and dead ranks
+  /// are simply absent from the rebuilt tree.
   MapCombineStats allreduce(simmpi::Communicator& comm, CombinationMap& map, const MergeFn& merge,
-                            double peer_timeout_seconds = 0.0);
+                            double peer_timeout_seconds = 0.0, std::span<const int> group = {});
 
   /// Starts a fresh fault-tolerant round (a new tag namespace).  Call it
   /// exactly once per *logical* combination round, before the first
@@ -112,31 +122,21 @@ class MapCombiner {
   /// tree position consumes at most one payload per source per attempt.
   void begin_recovery_round() { ++ft_round_; }
 
-  /// Degraded allreduce over a subset of `comm`'s ranks (the survivors of
-  /// a failed round, from Communicator::alive_ranks()).  Collective over
-  /// exactly the ranks listed in `alive` (ascending, containing this
-  /// rank); dead ranks are simply absent from the rebuilt tree.
-  MapCombineStats allreduce_surviving(simmpi::Communicator& comm, const std::vector<int>& alive,
-                                      CombinationMap& map, const MergeFn& merge,
-                                      double peer_timeout_seconds);
-
  private:
   /// Picks this round's algorithm (see the auto bullet in the file
   /// comment).  Collective when the consensus fallback fires; otherwise
   /// message-free.
   simmpi::CollectiveAlgo plan(simmpi::Communicator& comm, const CombinationMap& map);
-  void tree_allreduce(simmpi::Communicator& comm, CombinationMap& map, const MergeFn& merge,
-                      MapCombineStats& stats);
+  /// Binomial reduction of `map` to the group's first rank (`group` empty
+  /// = all of `comm`), payloads on `tag`.  Every receive is bounded by
+  /// `timeout_seconds` (0 = a plain recv).  Returns this rank's position in
+  /// the group; position 0 (the root) ends holding the global map.
+  int reduce(simmpi::Communicator& comm, std::span<const int> group, CombinationMap& map,
+             const MergeFn& merge, int tag, double timeout_seconds, MapCombineStats& stats);
   void ring_allreduce(simmpi::Communicator& comm, CombinationMap& map, const MergeFn& merge,
                       MapCombineStats& stats);
-  void direct_allreduce(simmpi::Communicator& comm, CombinationMap& map, const MergeFn& merge,
-                        MapCombineStats& stats);
-  /// Binomial tree + direct root fan-out over `ranks`, every receive
-  /// bounded by `timeout_seconds`.  Tags derive from ft_round_ (advanced
-  /// by begin_recovery_round, shared by all attempts of one round).
-  void ft_tree_allreduce(simmpi::Communicator& comm, const std::vector<int>& ranks,
-                         CombinationMap& map, const MergeFn& merge, double timeout_seconds,
-                         MapCombineStats& stats);
+  /// Serializes the whole map into wire_ (the one full-map encode site).
+  void encode_map(const CombinationMap& map, MapCombineStats& stats);
 
   /// Readies wire_ for a fresh encode: clears it when its capacity is still
   /// here, re-acquires from the BufferPool (sized by the largest encode seen
@@ -144,7 +144,6 @@ class MapCombiner {
   void prepare_wire();
 
   Algorithm algorithm_;
-  std::size_t ring_crossover_bytes_;
   Buffer wire_;  ///< reused encode buffer (pool-backed once shipped)
   std::size_t wire_hint_ = 0;  ///< largest encode so far, sizes pool acquires
   MapSegmentIndex seg_index_;  ///< ring per-round key/segment index (allocations reused)

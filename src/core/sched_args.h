@@ -74,16 +74,11 @@ struct RunOptions {
   /// the test environment.
   bool pin_threads = false;
 
-  /// Legacy alias for split_policy: when set, overrides split_policy with
-  /// SplitPolicy::kDynamic.  Results are identical under every policy for
+  /// Worker→chunk-range split policy for the reduction phase (see
+  /// SplitPolicy).  Results are identical under every policy for
   /// integer-exact apps; floating-point accumulators can differ in the
   /// last bit across policies because worker→chunk assignment (and hence
   /// merge grouping) changes.
-  bool dynamic_chunking = false;
-
-  /// Worker→chunk-range split policy for the reduction phase (see
-  /// SplitPolicy).  dynamic_chunking = true still forces kDynamic so
-  /// existing call sites keep their behavior.
   SplitPolicy split_policy = SplitPolicy::kContiguous;
 
   /// Chunks per batch on the batched reduction path: the scheduler

@@ -547,8 +547,6 @@ class Scheduler {
     const auto workers = static_cast<std::size_t>(args_.num_threads);
     const std::size_t base = num_units / workers;
     const std::size_t extra = num_units % workers;
-    const SplitPolicy policy =
-        opts_.dynamic_chunking ? SplitPolicy::kDynamic : opts_.split_policy;
     // kDynamic: workers pull batches of this many chunks from a shared
     // counter (8 batches per worker keeps the tail short without turning
     // the counter into a hot spot).  With num_units < workers this clamps
@@ -676,13 +674,13 @@ class Scheduler {
         for (; c < end; ++c) process_chunk(c);
         chunks_done[uw] += end - begin;
       };
-      if (policy == SplitPolicy::kDynamic) {
+      if (opts_.split_policy == SplitPolicy::kDynamic) {
         for (;;) {
           const std::size_t begin = next_chunk.fetch_add(grain, std::memory_order_relaxed);
           if (begin >= num_units) break;
           process_range(begin, std::min(begin + grain, num_units));
         }
-      } else if (policy == SplitPolicy::kGuided) {
+      } else if (opts_.split_policy == SplitPolicy::kGuided) {
         // Guided self-scheduling: each fetch takes half an equal share of
         // what remains, so early slices are big (cache-friendly, counter
         // stays cold) and the trailing slices shrink to single chunks —
@@ -844,15 +842,8 @@ class Scheduler {
     for (int attempt = 0;; ++attempt) {
       obs::TraceSpan attempt_span("combine.attempt", "sched", {{"attempt", attempt}});
       try {
-        MapCombineStats cs;
-        if (survivors_.empty()) {
-          cs = map_combiner_.allreduce(comm, combination_map_, merge_fn(),
-                                       recovery_.peer_timeout_seconds);
-        } else {
-          cs = map_combiner_.allreduce_surviving(comm, survivors_, combination_map_, merge_fn(),
-                                                 recovery_.peer_timeout_seconds);
-        }
-        fold_combine_stats(cs);
+        fold_combine_stats(map_combiner_.allreduce(comm, combination_map_, merge_fn(),
+                                                   recovery_.peer_timeout_seconds, survivors_));
         break;
       } catch (const simmpi::PeerUnreachable&) {
         if (obs::trace_enabled()) {

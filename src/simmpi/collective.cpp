@@ -13,7 +13,7 @@ namespace {
 /// concurrent edges are priced together (estimate_round_seconds lets
 /// edges sharing a physical link serialize) and a full reduce (or bcast —
 /// same edge set, other direction) is the sum over rounds.  Edges mirror
-/// the schedule in Communicator::reduce and MapCombiner::tree_allreduce:
+/// the schedule in Communicator::reduce and MapCombiner::reduce:
 /// at stride d, rank i+d hands its payload to rank i for every
 /// i ≡ 0 (mod 2d).
 double tree_phase_seconds(const NetworkModel& net, const std::vector<int>& ranks,

@@ -505,20 +505,17 @@ TEST(SplitPolicies, IntegerResultsInvariantAcrossPolicies) {
   Rng rng(916);
   std::vector<double> data(10007);
   for (auto& x : data) x = rng.uniform(-1.0, 1.0);
-  auto run_policy = [&](SplitPolicy policy, bool legacy_flag) {
+  auto run_policy = [&](SplitPolicy policy) {
     RunOptions opts;
     opts.split_policy = policy;
-    opts.dynamic_chunking = legacy_flag;
     Histogram<double> hist(SchedArgs(4, 1), -1.0, 1.0, 16, opts);
     std::vector<std::size_t> out(16, 0);
     hist.run(data.data(), data.size(), out.data(), out.size());
     return std::pair(out, hist.stats().worker_skew);
   };
-  const auto [contiguous, skew] = run_policy(SplitPolicy::kContiguous, false);
-  EXPECT_EQ(run_policy(SplitPolicy::kDynamic, false).first, contiguous);
-  EXPECT_EQ(run_policy(SplitPolicy::kGuided, false).first, contiguous);
-  // The legacy flag must still force dynamic scheduling and equal results.
-  EXPECT_EQ(run_policy(SplitPolicy::kContiguous, true).first, contiguous);
+  const auto [contiguous, skew] = run_policy(SplitPolicy::kContiguous);
+  EXPECT_EQ(run_policy(SplitPolicy::kDynamic).first, contiguous);
+  EXPECT_EQ(run_policy(SplitPolicy::kGuided).first, contiguous);
   // Skew is max-over-mean worker busy time: >= 1 whenever workers ran.
   EXPECT_GE(skew, 1.0);
 }

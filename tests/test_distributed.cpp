@@ -212,9 +212,10 @@ std::vector<int> map_keys(const CombinationMap& map) {
 }
 
 /// Runs `app` on this rank's partition with global combination off, then
-/// combines the per-rank snapshots three ways — legacy Buffer-lambda, new
-/// tree, new ring — and cross-checks.  The tree must be bit-exact against
-/// legacy (same binomial schedule, same merge order); the ring merges in a
+/// combines the per-rank snapshots five ways — legacy Buffer-lambda, tree,
+/// direct, a fault-tolerant round, ring — and cross-checks.  Tree, direct
+/// and fault-tolerant must be bit-exact against legacy (same binomial
+/// schedule, same merge order); the ring merges in a
 /// different deterministic order, so it is byte-compared only when the
 /// app's merge is exact (integer accumulators), and key-compared otherwise.
 template <class App>
@@ -241,7 +242,29 @@ void check_combination_equivalence(simmpi::Communicator& comm, ExposeMerge<App>&
   EXPECT_EQ(tree_bytes, legacy) << "tree result differs from legacy on rank " << comm.rank();
   EXPECT_LE(ts.map_serializes, 1u);
   EXPECT_LE(ts.map_deserializes, 1u);
-  EXPECT_FALSE(ts.used_ring);
+  EXPECT_STREQ(ts.algorithm, comm.size() > 1 ? "tree" : "none");
+
+  // Direct and the fault-tolerant round (no faults injected) share the
+  // tree's binomial reduce, so they must be byte-equal to legacy too.
+  CombinationMap direct_map = deserialize_map(local);
+  MapCombiner direct(MapCombiner::Algorithm::kDirect);
+  const MapCombineStats ds = direct.allreduce(comm, direct_map, merge);
+  Buffer direct_bytes;
+  serialize_map(direct_map, direct_bytes);
+  EXPECT_EQ(direct_bytes, legacy) << "direct result differs from legacy on rank " << comm.rank();
+  EXPECT_STREQ(ds.algorithm, comm.size() > 1 ? "direct" : "none");
+
+  CombinationMap ft_map = deserialize_map(local);
+  MapCombiner ft;
+  ft.begin_recovery_round();
+  const MapCombineStats fs = ft.allreduce(comm, ft_map, merge, /*peer_timeout_seconds=*/30.0);
+  Buffer ft_bytes;
+  serialize_map(ft_map, ft_bytes);
+  EXPECT_EQ(ft_bytes, legacy) << "fault-tolerant result differs from legacy on rank "
+                              << comm.rank();
+  EXPECT_STREQ(fs.algorithm, comm.size() > 1 ? "ft_tree" : "none");
+  EXPECT_LE(fs.map_serializes, 1u);
+  EXPECT_LE(fs.map_deserializes, 1u);
 
   CombinationMap ring_map = deserialize_map(local);
   MapCombiner ring(MapCombiner::Algorithm::kRing);
@@ -254,7 +277,7 @@ void check_combination_equivalence(simmpi::Communicator& comm, ExposeMerge<App>&
     EXPECT_EQ(ring_bytes, legacy) << "ring result differs from legacy on rank " << comm.rank();
   }
   if (comm.size() > 1) {
-    EXPECT_EQ(rs.used_ring, comm.size() > 1);
+    EXPECT_STREQ(rs.algorithm, "ring");
     // The ring never codecs the whole map in one pass.
     EXPECT_EQ(rs.map_serializes, 0u);
     EXPECT_EQ(rs.map_deserializes, 0u);

@@ -150,7 +150,7 @@ TEST(Scheduler, ProcessTailOffKeepsSkipAccountingAccurate) {
 TEST(Scheduler, TailProcessingWorksUnderDynamicChunking) {
   const auto data = uniform_data(1003, 22);
   RunOptions opts;
-  opts.dynamic_chunking = true;
+  opts.split_policy = SplitPolicy::kDynamic;
   GridAggregation<double> grid(SchedArgs(3, 10), 10, opts);
   grid.run(data.data(), data.size(), nullptr, 0);
   EXPECT_EQ(grid.stats().chunks_processed, 101u);

@@ -62,6 +62,25 @@ TEST(Mailbox, WildcardsMatchAnything) {
   EXPECT_EQ(got.tag, 99);
 }
 
+TEST(Mailbox, AnyTagSkipsInternalCollectiveTags) {
+  // A faster rank's barrier message (negative internal tag) arrives first;
+  // a user's wildcard receive must take the user message and leave the
+  // barrier's for the barrier.
+  Mailbox box;
+  Envelope internal;
+  internal.source = 1;
+  internal.tag = -1000;
+  box.post(std::move(internal));
+  Envelope user;
+  user.source = 1;
+  user.tag = 2;
+  box.post(std::move(user));
+  EXPECT_EQ(box.receive(kAnySource, kAnyTag).tag, 2);
+  EXPECT_FALSE(box.try_receive(kAnySource, kAnyTag).has_value());
+  EXPECT_FALSE(box.has_match(kAnySource, kAnyTag));
+  EXPECT_EQ(box.receive(kAnySource, -1000).tag, -1000);
+}
+
 TEST(Mailbox, TryReceiveDoesNotBlock) {
   Mailbox box;
   EXPECT_FALSE(box.try_receive(kAnySource, kAnyTag).has_value());

@@ -140,7 +140,7 @@ TEST_P(DynamicChunking, HistogramIdenticalToStaticSplits) {
   const auto data = random_slab(9001, 505);  // deliberately non-round size
   Histogram<double> fixed(SchedArgs(threads, 1), 0.0, 100.0, 23);
   RunOptions dyn;
-  dyn.dynamic_chunking = true;
+  dyn.split_policy = SplitPolicy::kDynamic;
   Histogram<double> dynamic(SchedArgs(threads, 1), 0.0, 100.0, 23, dyn);
   std::vector<std::size_t> a(23, 0), b(23, 0);
   fixed.run(data.data(), data.size(), a.data(), a.size());
@@ -154,7 +154,7 @@ TEST_P(DynamicChunking, WindowAppIdenticalToStaticSplits) {
   const auto data = random_slab(2000, 506);
   MovingAverage<double> fixed(SchedArgs(threads, 1), 11);
   RunOptions dyn;
-  dyn.dynamic_chunking = true;
+  dyn.split_policy = SplitPolicy::kDynamic;
   MovingAverage<double> dynamic(SchedArgs(threads, 1), 11, dyn);
   std::vector<double> a(data.size(), 0.0), b(data.size(), 0.0);
   fixed.run2(data.data(), data.size(), a.data(), a.size());

@@ -11,6 +11,7 @@
 #include "common/trace.h"
 #include "core/map_combiner.h"
 #include "core/red_obj.h"
+#include "obs/trace.h"
 #include "simmpi/world.h"
 #include "threading/circular_buffer.h"
 
@@ -140,22 +141,30 @@ TEST(MapCombiner, AutoConsensusSurvivesUnevenLocalMaps) {
   // Rank footprints straddle the crossover: without the scalar consensus,
   // ranks would pick different algorithms and deadlock or corrupt state.
   const int nranks = 4;
+  const int keys_per_rank = 1000;
   simmpi::launch(nranks, [&](simmpi::Communicator& comm) {
     std::vector<std::pair<int, std::size_t>> entries;
-    // Rank r contributes keys 0..(50*(r+1))-1 — very different map sizes.
-    for (int key = 0; key < 50 * (comm.rank() + 1); ++key) {
+    // Rank r contributes keys 0..(1000*(r+1))-1 — very different map sizes.
+    for (int key = 0; key < keys_per_rank * (comm.rank() + 1); ++key) {
       entries.emplace_back(key, static_cast<std::size_t>(comm.rank() + 1));
     }
     auto map = bucket_map(entries);
-    MapCombiner combiner(MapCombiner::Algorithm::kAuto, /*ring_crossover_bytes=*/1);
+    if (comm.rank() == 0) {
+      EXPECT_LT(map_footprint_bytes(map), MapCombiner::kDefaultRingCrossoverBytes);
+    }
+    if (comm.rank() == nranks - 1) {
+      EXPECT_GT(map_footprint_bytes(map), MapCombiner::kDefaultRingCrossoverBytes);
+    }
+    MapCombiner combiner(MapCombiner::Algorithm::kAuto);
     combiner.allreduce(comm, map, bucket_merge());
 
     // Every rank ends with the identical global map.
-    ASSERT_EQ(map.size(), 200u);
-    for (int key = 0; key < 200; ++key) {
+    const int total_keys = keys_per_rank * nranks;
+    ASSERT_EQ(map.size(), static_cast<std::size_t>(total_keys));
+    for (int key = 0; key < total_keys; ++key) {
       std::size_t expected = 0;
       for (int r = 0; r < nranks; ++r) {
-        if (key < 50 * (r + 1)) expected += static_cast<std::size_t>(r + 1);
+        if (key < keys_per_rank * (r + 1)) expected += static_cast<std::size_t>(r + 1);
       }
       ASSERT_EQ(count_of(map, key), expected) << "rank " << comm.rank() << " key " << key;
     }
@@ -163,12 +172,17 @@ TEST(MapCombiner, AutoConsensusSurvivesUnevenLocalMaps) {
 }
 
 TEST(MapCombiner, TwoRankAutoStaysOnTree) {
+  // A map above the crossover floor: only the group-size rule keeps it
+  // off the planner.
   simmpi::launch(2, [&](simmpi::Communicator& comm) {
-    auto map = bucket_map({{comm.rank(), 1}});
-    MapCombiner combiner(MapCombiner::Algorithm::kAuto, /*ring_crossover_bytes=*/1);
+    std::vector<std::pair<int, std::size_t>> entries;
+    for (int key = 0; key < 8000; ++key) entries.emplace_back(key, 1);
+    auto map = bucket_map(entries);
+    MapCombiner combiner(MapCombiner::Algorithm::kAuto);
     const auto stats = combiner.allreduce(comm, map, bucket_merge());
-    EXPECT_FALSE(stats.used_ring);  // a 2-rank "ring" is just a worse tree
-    EXPECT_EQ(map.size(), 2u);
+    EXPECT_STREQ(stats.algorithm, "tree");  // a 2-rank "ring" is just a worse tree
+    ASSERT_EQ(map.size(), 8000u);
+    EXPECT_EQ(count_of(map, 0), 2u);
   });
 }
 
@@ -193,11 +207,68 @@ TEST(MapCombiner, DirectMatchesTreeResult) {
     MapCombiner combiner(MapCombiner::Algorithm::kDirect);
     const auto stats = combiner.allreduce(comm, map, bucket_merge());
     EXPECT_STREQ(stats.algorithm, "direct");
-    EXPECT_FALSE(stats.used_ring);
     ASSERT_EQ(map.size(), 6u);
     for (int r = 0; r < 5; ++r) EXPECT_EQ(count_of(map, r), 1u);
     EXPECT_EQ(count_of(map, 99), 10u);
   });
+}
+
+TEST(MapCombiner, GroupRoundSkipsAbsentRankAndTagsSurvivors) {
+  // A degraded round over ranks {0,1,3,4} of 5: rank 2 never calls, so
+  // the binomial reduce and the direct fan-out are rebuilt over the group.
+  // Only that round's combine.ft_tree span carries "survivors" (the
+  // critical-path profiler files exactly those spans under recovery); the
+  // full-group fault-tolerant round before it must not.
+  struct TraceOn {
+    TraceOn() {
+      obs::TraceCollector::instance().clear();
+      obs::TraceCollector::instance().set_enabled(true);
+    }
+    ~TraceOn() {
+      obs::TraceCollector::instance().set_enabled(false);
+      obs::TraceCollector::instance().clear();
+    }
+  } trace_on;
+  const std::vector<int> group = {0, 1, 3, 4};
+  simmpi::launch(5, [&](simmpi::Communicator& comm) {
+    const auto own = static_cast<std::size_t>(comm.rank() + 1);
+    MapCombiner combiner;
+    combiner.begin_recovery_round();
+    auto full = bucket_map({{comm.rank(), 1}, {99, own}});
+    combiner.allreduce(comm, full, bucket_merge(), /*peer_timeout_seconds=*/30.0);
+    EXPECT_EQ(full.size(), 6u);
+    EXPECT_EQ(count_of(full, 99), 1u + 2 + 3 + 4 + 5);
+    if (comm.rank() == 2) return;
+
+    combiner.begin_recovery_round();
+    auto map = bucket_map({{comm.rank(), 1}, {99, own}});
+    const auto stats =
+        combiner.allreduce(comm, map, bucket_merge(), /*peer_timeout_seconds=*/30.0, group);
+    EXPECT_STREQ(stats.algorithm, "ft_tree");
+    ASSERT_EQ(map.size(), 5u);
+    for (const int r : group) EXPECT_EQ(count_of(map, r), 1u);
+    EXPECT_EQ(map.find(2), map.end());
+    EXPECT_EQ(count_of(map, 99), 1u + 2 + 4 + 5);
+  });
+  obs::TraceCollector::instance().set_enabled(false);
+
+  int full_spans = 0;
+  int group_spans = 0;
+  for (const auto& e : obs::TraceCollector::instance().snapshot_events()) {
+    if (e.name != "combine.ft_tree") continue;
+    const std::int64_t* survivors = nullptr;
+    for (std::uint8_t i = 0; i < e.num_args; ++i) {
+      if (e.arg_key[i] == "survivors") survivors = &e.arg_val[i];
+    }
+    if (survivors == nullptr) {
+      ++full_spans;
+    } else {
+      EXPECT_EQ(*survivors, 4);
+      ++group_spans;
+    }
+  }
+  EXPECT_EQ(full_spans, 5);
+  EXPECT_EQ(group_spans, 4);
 }
 
 TEST(MapCombiner, AutoPlansRingOnTorusForLargeMaps) {
@@ -223,7 +294,6 @@ TEST(MapCombiner, AutoPlansRingOnTorusForLargeMaps) {
         MapCombiner combiner(MapCombiner::Algorithm::kAuto);
         const auto stats = combiner.allreduce(comm, map, bucket_merge());
         EXPECT_STREQ(stats.algorithm, "ring");
-        EXPECT_TRUE(stats.used_ring);
         ASSERT_EQ(map.size(), 8000u);
         ASSERT_EQ(count_of(map, 0), 1u + 2 + 3 + 4);
       },
