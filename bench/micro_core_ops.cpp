@@ -5,7 +5,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
+#include <vector>
 
 #include "analytics/batch_kernels.h"
 #include "analytics/grid_aggregation.h"
@@ -15,6 +17,7 @@
 #include "analytics/red_objs.h"
 #include "analytics/reference.h"
 #include "analytics/summary_stats.h"
+#include "bench/legacy_map_codec.h"
 #include "common/rng.h"
 #include "core/scheduler.h"
 #include "sim/heat3d.h"
@@ -469,15 +472,22 @@ void BM_HistogramKeysBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramKeysBatched)->Arg(65536);
 
-// --- nearest-centroid assignment: hinted scan vs constant-cost lanes ---------
+// --- nearest-centroid assignment: hinted scan, pair-packed, points in lanes ---
 //
-// The before/after pair for the k-means assignment kernel (DESIGN.md §4.8),
-// d = 4, k = 8.  The "before" side is the replaced kernel, preserved here
-// (not in src/) so the pair keeps measuring against the design it
-// replaced: a blocked 4-point scan seeded with the previous block's winner,
-// whose early exit makes a point's cost depend on how far it sits from
-// that seed.  The "after" side is kernels::nearest_centroids, which
-// computes every distance, two centroids per SSE2 vector.
+// The before/after pairs for the k-means assignment kernel (DESIGN.md
+// §4.8), d = 4, k = 8.  Both "before" sides are replaced kernels,
+// preserved here (not in src/) so the pairs keep measuring against the
+// designs they replaced:
+//
+//   * the hinted scan: a blocked 4-point scan seeded with the previous
+//     block's winner, whose early exit makes a point's cost depend on how
+//     far it sits from that seed;
+//   * the pair-packed kernel: every distance, two centroids per SSE2
+//     vector, 4-point blocks, lane winners merged per point.
+//
+// The "after" side is kernels::nearest_centroids, which computes every
+// distance with one point per lane, on the widest leg the CPU runs (the
+// "assign_isa" context entry records which).
 //
 // Two inputs: a Heat3D slab read as 4-d points (a hot region near the
 // heated plane, a cold bulk — the iter_kmeans benchmark's field) with
@@ -546,6 +556,80 @@ void hinted_nearest_centroids(const double* pts, std::size_t n, const double* ce
   }
 }
 
+/// The pair-packed constant-cost kernel: centroid pairs packed dim-major
+/// into SSE2 lanes (lane 0 = even index, lane 1 = odd, odd k padded with
+/// NaN), 4-point blocks, per-lane strict-< argmin, then the two lane
+/// winners merged by smaller distance, then lower index.
+template <std::size_t Dims>
+void pair_packed_nearest_centroids(const double* pts, std::size_t n, const double* centroids,
+                                   std::size_t k, int* keys) {
+  using v2d = kernels::detail::v2d;
+  using v2m = decltype(v2d{} < v2d{});
+  constexpr std::size_t kBlock = 4;
+  if (n < kBlock) {
+    for (std::size_t p = 0; p < n; ++p) {
+      keys[p] = kernels::detail::nearest_centroid_fixed<double, Dims>(pts + p * Dims, centroids, k);
+    }
+    return;
+  }
+  const std::size_t pairs = (k + 1) / 2;
+  constexpr std::size_t kStackPairs = 16;
+  v2d stack_lanes[kStackPairs * Dims] = {};
+  std::vector<v2d> heap_lanes;
+  v2d* lanes = stack_lanes;
+  if (pairs > kStackPairs) {
+    heap_lanes.resize(pairs * Dims);
+    lanes = heap_lanes.data();
+  }
+  const double pad = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t j = 0; j < pairs; ++j) {
+    const double* c0 = centroids + 2 * j * Dims;
+    const double* c1 = 2 * j + 1 < k ? c0 + Dims : nullptr;
+    for (std::size_t d = 0; d < Dims; ++d) {
+      lanes[j * Dims + d] = v2d{c0[d], c1 != nullptr ? c1[d] : pad};
+    }
+  }
+
+  const v2d max = {std::numeric_limits<double>::max(), std::numeric_limits<double>::max()};
+  std::size_t p = 0;
+  for (; p + kBlock <= n; p += kBlock) {
+    v2d pt[kBlock][Dims] = {};
+    for (std::size_t b = 0; b < kBlock; ++b) {
+      for (std::size_t d = 0; d < Dims; ++d) {
+        const double x = pts[(p + b) * Dims + d];
+        pt[b][d] = v2d{x, x};
+      }
+    }
+    v2d key[kBlock] = {};
+    v2d best[kBlock];
+    for (auto& b : best) b = max;
+    v2d index = {0.0, 1.0};
+    const v2d step = {2.0, 2.0};
+    for (std::size_t j = 0; j < pairs; ++j, index += step) {
+      const v2d* c = lanes + j * Dims;
+      for (std::size_t b = 0; b < kBlock; ++b) {
+        v2d diff = pt[b][0] - c[0];
+        v2d dist = diff * diff;
+        for (std::size_t d = 1; d < Dims; ++d) {
+          diff = pt[b][d] - c[d];
+          dist += diff * diff;
+        }
+        const v2m lt = dist < best[b];
+        best[b] = (v2d)(((v2m)dist & lt) | ((v2m)best[b] & ~lt));
+        key[b] = (v2d)(((v2m)index & lt) | ((v2m)key[b] & ~lt));
+      }
+    }
+    for (std::size_t b = 0; b < kBlock; ++b) {
+      const double k0 = key[b][0], k1 = key[b][1];
+      const bool odd = best[b][1] < best[b][0] || (best[b][1] == best[b][0] && k1 < k0);
+      keys[p + b] = static_cast<int>(odd ? k1 : k0);
+    }
+  }
+  for (; p < n; ++p) {
+    keys[p] = kernels::detail::nearest_centroid_fixed<double, Dims>(pts + p * Dims, centroids, k);
+  }
+}
+
 }  // namespace legacy
 
 constexpr std::size_t kAssignDims = 4, kAssignK = 8;
@@ -606,16 +690,38 @@ void BM_NearestCentroidsHinted(benchmark::State& state, const char* field) {
     legacy::hinted_nearest_centroids<kAssignDims>(pts, n, c, kAssignK, keys);
   });
 }
+void BM_NearestCentroidsPairPacked(benchmark::State& state, const char* field) {
+  assign_bench(state, field, [](const double* pts, std::size_t n, const double* c, int* keys) {
+    legacy::pair_packed_nearest_centroids<kAssignDims>(pts, n, c, kAssignK, keys);
+  });
+}
 void BM_NearestCentroidsLanes(benchmark::State& state, const char* field) {
   assign_bench(state, field, [](const double* pts, std::size_t n, const double* c, int* keys) {
     kernels::nearest_centroids(pts, n, kAssignDims, c, kAssignK, keys);
   });
 }
 BENCHMARK_CAPTURE(BM_NearestCentroidsHinted, heat, "heat");
+BENCHMARK_CAPTURE(BM_NearestCentroidsPairPacked, heat, "heat");
 BENCHMARK_CAPTURE(BM_NearestCentroidsLanes, heat, "heat");
 BENCHMARK_CAPTURE(BM_NearestCentroidsHinted, smooth, "smooth");
+BENCHMARK_CAPTURE(BM_NearestCentroidsPairPacked, smooth, "smooth");
 BENCHMARK_CAPTURE(BM_NearestCentroidsLanes, smooth, "smooth");
+
+/// The assignment kernel leg the Lanes benches ran on this CPU.
+const char* assign_isa() {
+#if defined(__x86_64__) || defined(__i386__)
+  if (kernels::detail::cpu_has_avx2()) return "avx2 (4 points per vector)";
+#endif
+  return "sse2 (2 points per vector)";
+}
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("assign_isa", assign_isa());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

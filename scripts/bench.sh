@@ -15,9 +15,12 @@
 #   * BM_LocalCombine — serial vs pool-parallel local combination;
 #   * BM_MapSerializeRoundTrip / BM_MapCombineAlgorithms — the codec and
 #     tree/ring crossover benches the combiner defaults come from;
-#   * BM_NearestCentroidsLanes vs BM_NearestCentroidsHinted — the
-#     constant-cost k-means assignment kernel against the hinted
-#     early-exit scan it replaced, on a Heat3D field and a cluster stream.
+#   * BM_NearestCentroidsLanes vs BM_NearestCentroidsHinted and
+#     BM_NearestCentroidsPairPacked — the points-in-lanes k-means
+#     assignment kernel against the two kernels it replaced (the hinted
+#     early-exit scan and the pair-packed constant-cost kernel), on a
+#     Heat3D field and a cluster stream; the file's context records the
+#     leg the CPU ran as "assign_isa".
 #
 # The transport suite (bench/micro_transport.cpp) covers the simmpi data
 # plane and its before/after pairs:

@@ -65,8 +65,8 @@ def _accumulate_pair(app, chunks):
 # Names as emitted by bench/micro_core_ops.cpp: the flat CombinationMap vs
 # the std::map it replaced, the scalar-vs-batched reduction pairs over the
 # columnar ChunkBatch path (gen_keys_batch/accumulate_batch kernels), and
-# the hinted early-exit k-means assignment scan vs the constant-cost lane
-# kernel that replaced it.
+# the two replaced k-means assignment kernels (the hinted early-exit scan
+# and the pair-packed constant-cost kernel) vs the points-in-lanes kernel.
 CORE_PAIRS = [
     ("BM_LegacyStdMapAccumulate/100", "BM_ReductionMapAccumulate/100"),
     ("BM_LegacyStdMapAccumulate/10000", "BM_ReductionMapAccumulate/10000"),
@@ -80,6 +80,8 @@ CORE_PAIRS = [
     ("BM_HistogramKeysScalar/65536", "BM_HistogramKeysBatched/65536"),
     ("BM_NearestCentroidsHinted/heat", "BM_NearestCentroidsLanes/heat"),
     ("BM_NearestCentroidsHinted/smooth", "BM_NearestCentroidsLanes/smooth"),
+    ("BM_NearestCentroidsPairPacked/heat", "BM_NearestCentroidsLanes/heat"),
+    ("BM_NearestCentroidsPairPacked/smooth", "BM_NearestCentroidsLanes/smooth"),
 ]
 
 def _makespan_pair(topo):

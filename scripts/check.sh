@@ -238,19 +238,32 @@ grep -q "vectorized" "$vec_log" \
        cat "$vec_log" >&2; exit 1; }
 # The k-means assignment kernel uses GCC vector types, which the
 # vectorizer never reports on: check each width's disassembly for packed
-# subtract and multiply instead.
+# subtract and multiply instead.  The AVX2 leg must do both on %ymm
+# registers (a dropped target attribute compiles it to SSE2 pairs), and
+# must contain no FMA: a contracted multiply-add rounds once where the
+# SSE2 leg and the scalar scan round twice, breaking bit-identity.
 vec_asm="$repo/build/check_vec_probe.asm"
 objdump -d --no-show-raw-insn -C "$repo/build/check_vec_probe.o" > "$vec_asm"
+kernel_body() {
+  awk -v sym="$1" '/^[0-9a-f]+ <.*>:$/ { on = index($0, sym) > 0; next } on' "$vec_asm"
+}
 for width in 2 3 4 8; do
-  body="$(awk -v sym="nearest_centroids_fixed<double, ${width}ul>" \
-    '/^[0-9a-f]+ <.*>:$/ { on = index($0, sym) > 0; next } on' "$vec_asm")"
+  body="$(kernel_body "nearest_centroids_fixed<double, ${width}ul>")"
   for insn in subpd mulpd; do
     grep -Eq "[[:space:]]v?${insn}[[:space:]]" <<< "$body" \
       || { echo "nearest_centroids width ${width} no longer emits ${insn}" >&2; exit 1; }
   done
+  body="$(kernel_body "nearest_centroids_avx2<double, ${width}ul>")"
+  for insn in vsubpd vmulpd; do
+    grep -Eq "[[:space:]]${insn}[[:space:]].*%ymm" <<< "$body" \
+      || { echo "nearest_centroids AVX2 leg width ${width} emits no ${insn} on %ymm" >&2; exit 1; }
+  done
+  if grep -Eq "[[:space:]]v(fmadd|fmsub|fnmadd)" <<< "$body"; then
+    echo "nearest_centroids AVX2 leg width ${width} contracts to FMA" >&2; exit 1
+  fi
 done
 echo "   vec probe ok: $(grep -c 'vectorized' "$vec_log") vectorized loop report(s)," \
-  "packed k-means kernel at widths 2/3/4/8"
+  "packed k-means kernel (SSE2 and AVX2 legs) at widths 2/3/4/8"
 
 echo "== native: build + test with SMART_NATIVE=ON =="
 # One pass of the batched-kernel exactness properties and a bench smoke with

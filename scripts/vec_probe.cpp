@@ -6,10 +6,13 @@
 //   * -fopt-info-vec-optimized reports "loop vectorized" for the histogram
 //     bucketing loops instantiated here (auto-vectorized code);
 //   * every fixed-width nearest-centroid kernel instantiated here still
-//     emits packed-double arithmetic (subpd and mulpd in its disassembly).
-//     That kernel is written with GCC vector types, which the compiler
-//     lowers straight to SIMD instructions without the auto-vectorizer, so
-//     -fopt-info-vec has nothing to report for it; the disassembly does.
+//     emits packed-double arithmetic (subpd and mulpd in its disassembly),
+//     and its AVX2 leg does so on 256-bit registers (vsubpd and vmulpd on
+//     %ymm) with no fused multiply-add, which would round differently from
+//     the SSE2 leg and the scalar scan.  That kernel is written with GCC
+//     vector types, which the compiler lowers straight to SIMD instructions
+//     without the auto-vectorizer, so -fopt-info-vec has nothing to report
+//     for it; the disassembly does.
 //
 // If a change to batch_kernels.h silently breaks either (a reintroduced
 // libm call, a loop-carried dependence, an aliasing hazard, a kernel that
@@ -29,7 +32,8 @@ template void histogram_keys<float>(const float*, std::size_t, std::size_t, doub
                                     int, int*);
 
 // The k-means assignment kernel at every width nearest_centroids<double>
-// dispatches to a fixed-dims specialization.
+// dispatches to a fixed-dims specialization: the dispatching entry, whose
+// body holds the inlined SSE2 leg, and the AVX2 leg.
 template void detail::nearest_centroids_fixed<double, 2>(const double*, std::size_t,
                                                          const double*, std::size_t, int*);
 template void detail::nearest_centroids_fixed<double, 3>(const double*, std::size_t,
@@ -38,5 +42,13 @@ template void detail::nearest_centroids_fixed<double, 4>(const double*, std::siz
                                                          const double*, std::size_t, int*);
 template void detail::nearest_centroids_fixed<double, 8>(const double*, std::size_t,
                                                          const double*, std::size_t, int*);
+template void detail::nearest_centroids_avx2<double, 2>(const double*, std::size_t,
+                                                        const double*, std::size_t, int*);
+template void detail::nearest_centroids_avx2<double, 3>(const double*, std::size_t,
+                                                        const double*, std::size_t, int*);
+template void detail::nearest_centroids_avx2<double, 4>(const double*, std::size_t,
+                                                        const double*, std::size_t, int*);
+template void detail::nearest_centroids_avx2<double, 8>(const double*, std::size_t,
+                                                        const double*, std::size_t, int*);
 
 }  // namespace smart::analytics::kernels

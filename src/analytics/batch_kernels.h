@@ -20,8 +20,8 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <limits>
-#include <vector>
 
 namespace smart::analytics::kernels {
 
@@ -82,101 +82,105 @@ inline int nearest_centroid_fixed(const T* pt, const double* centroids, std::siz
   return best_key;
 }
 
-/// Two doubles per SSE2 register (GCC/Clang vector extensions), and the
-/// matching lane mask type a vector compare yields.
+/// GCC/Clang vector types: two doubles per SSE2 register, four per AVX2
+/// register.
 using v2d = double __attribute__((vector_size(16)));
-using v2m = decltype(v2d{} < v2d{});
+using v4d = double __attribute__((vector_size(32)));
 
-/// Batched assignment with a cost that does not depend on the data: every
-/// centroid's full squared distance is computed, two centroids per vector
-/// (lane 0 = even index, lane 1 = odd), for a block of 4 points at a time
-/// so the four points' chains interleave in the pipeline.  Each lane adds
-/// the same (p[d] - c[d])^2 terms in the same dim order as
-/// nearest_centroid_fixed, so every distance is bit-identical to the
-/// scalar one — the SIMD width comes from independent centroids, never
-/// from reassociating one chain.
-///
-/// The argmin is lane-wise too: each lane keeps the strict-< running best
-/// of its own centroids in ascending index order, starting from
-/// best = max.  The two lane winners then combine with the same rule —
-/// the smaller distance wins, equal distances go to the lower index — so
-/// the key is the lowest index achieving the minimum, or 0 when no
-/// distance is below max (NaN or infinite points), exactly as the scalar
-/// scan decides.  An odd k pads the last pair's lane 1 with NaN
-/// coordinates, whose distance never compares below the best.
+/// Batched assignment with points in lanes: each lane of V holds one
+/// point, and each centroid's coordinates are broadcast against all lanes.
+/// Per lane this is exactly nearest_centroid_fixed without its early exit:
+/// the squared distance accumulates in the same dim order, and the argmin
+/// is strict < from best = max in ascending centroid order.  So the lowest
+/// index wins ties, and a point whose every distance fails `< max` (NaN or
+/// infinite coordinates) keeps key 0 — bit-for-bit the scalar decision.
+/// The SIMD width comes from independent points, never from reassociating
+/// one chain.
 ///
 /// Why no early exit: an exit makes a point's cost depend on how far it
 /// sits from the running best, and under the contiguous worker split that
-/// data dependence turns into worker skew (DESIGN.md §4.8).
-template <class T, std::size_t Dims>
-inline void nearest_centroids_fixed(const T* pts, std::size_t n, const double* centroids,
-                                    std::size_t k, int* keys) {
-  constexpr std::size_t kBlock = 4;
-  if (n < kBlock) {  // e.g. the scalar gen_key path (n = 1): not worth packing
-    for (std::size_t p = 0; p < n; ++p) {
-      keys[p] = nearest_centroid_fixed<T, Dims>(pts + p * Dims, centroids, k);
-    }
-    return;
-  }
-  // Pack centroid pairs dim-major: lanes[j * Dims + d] = {c[2j][d], c[2j+1][d]}.
-  const std::size_t pairs = (k + 1) / 2;
-  constexpr std::size_t kStackPairs = 16;
-  v2d stack_lanes[kStackPairs * Dims] = {};
-  std::vector<v2d> heap_lanes;
-  v2d* lanes = stack_lanes;
-  if (pairs > kStackPairs) {
-    heap_lanes.resize(pairs * Dims);
-    lanes = heap_lanes.data();
-  }
-  const double pad = std::numeric_limits<double>::quiet_NaN();
-  for (std::size_t j = 0; j < pairs; ++j) {
-    const double* c0 = centroids + 2 * j * Dims;
-    const double* c1 = 2 * j + 1 < k ? c0 + Dims : nullptr;
-    for (std::size_t d = 0; d < Dims; ++d) {
-      lanes[j * Dims + d] = v2d{c0[d], c1 != nullptr ? c1[d] : pad};
-    }
-  }
-
-  const v2d max = {std::numeric_limits<double>::max(), std::numeric_limits<double>::max()};
+/// data dependence turns into worker skew (DESIGN.md §4.8).  Tails shorter
+/// than a vector take the scalar scan.
+///
+/// always_inline: the AVX2 leg gets its width only by inlining this body
+/// into its target("avx2") function; an out-of-line copy would be compiled
+/// for the baseline target.
+template <class V, class T, std::size_t Dims>
+__attribute__((always_inline)) inline void nearest_centroids_lanes(const T* pts, std::size_t n,
+                                                                    const double* centroids,
+                                                                    std::size_t k, int* keys) {
+  using M = decltype(V{} < V{});  // lane mask: all-ones where a compare holds
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
   std::size_t p = 0;
-  for (; p + kBlock <= n; p += kBlock) {
-    v2d pt[kBlock][Dims] = {};
-    for (std::size_t b = 0; b < kBlock; ++b) {
-      for (std::size_t d = 0; d < Dims; ++d) {
-        const double x = static_cast<double>(pts[(p + b) * Dims + d]);
-        pt[b][d] = v2d{x, x};
+  for (; p + kLanes <= n; p += kLanes) {
+    V x[Dims] = {};  // x[d] = coordinate d of this vector's points
+    for (std::size_t d = 0; d < Dims; ++d) {
+      double column[kLanes] = {};
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        column[l] = static_cast<double>(pts[(p + l) * Dims + d]);
       }
+      std::memcpy(&x[d], column, sizeof(V));
     }
-    v2d key[kBlock] = {};
-    v2d best[kBlock];
-    for (auto& b : best) b = max;
-    v2d index = {0.0, 1.0};
-    const v2d step = {2.0, 2.0};
-    for (std::size_t j = 0; j < pairs; ++j, index += step) {
-      const v2d* c = lanes + j * Dims;
-      for (std::size_t b = 0; b < kBlock; ++b) {
-        // The scalar chain starts at 0.0, and 0.0 + x == x for every
-        // square (+0, positive, +inf or NaN), so the first term seeds it.
-        v2d diff = pt[b][0] - c[0];
-        v2d dist = diff * diff;
-        for (std::size_t d = 1; d < Dims; ++d) {
-          diff = pt[b][d] - c[d];
-          dist += diff * diff;
-        }
-        const v2m lt = dist < best[b];  // all-ones where this pair's lane wins
-        best[b] = (v2d)(((v2m)dist & lt) | ((v2m)best[b] & ~lt));
-        key[b] = (v2d)(((v2m)index & lt) | ((v2m)key[b] & ~lt));
+    V best = V{} + std::numeric_limits<double>::max();
+    M key = {};
+    M index = {};
+    for (std::size_t c = 0; c < k; ++c, index += 1) {
+      const double* centroid = centroids + c * Dims;
+      // The scalar chain starts at 0.0, and 0.0 + x == x for every square
+      // (+0, positive, +inf or NaN), so the first term seeds it.
+      V diff = x[0] - centroid[0];
+      V dist = diff * diff;
+      for (std::size_t d = 1; d < Dims; ++d) {
+        diff = x[d] - centroid[d];
+        dist += diff * diff;
       }
+      const M lt = dist < best;
+      best = lt ? dist : best;
+      key = lt ? index : key;
     }
-    for (std::size_t b = 0; b < kBlock; ++b) {
-      const double k0 = key[b][0], k1 = key[b][1];
-      const bool odd = best[b][1] < best[b][0] || (best[b][1] == best[b][0] && k1 < k0);
-      keys[p + b] = static_cast<int>(odd ? k1 : k0);
-    }
+    for (std::size_t l = 0; l < kLanes; ++l) keys[p + l] = static_cast<int>(key[l]);
   }
   for (; p < n; ++p) {
     keys[p] = nearest_centroid_fixed<T, Dims>(pts + p * Dims, centroids, k);
   }
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+/// The same body at AVX2 width, compiled for AVX2 whatever the build's
+/// baseline; call it only where cpu_has_avx2() holds.  The target adds no
+/// FMA, so no multiply-add can contract and both legs round every term
+/// exactly as the scalar scan does.
+template <class T, std::size_t Dims>
+__attribute__((target("avx2"))) void nearest_centroids_avx2(const T* pts, std::size_t n,
+                                                            const double* centroids,
+                                                            std::size_t k, int* keys) {
+  nearest_centroids_lanes<v4d, T, Dims>(pts, n, centroids, k, keys);
+}
+
+/// Whether this CPU runs AVX2, asked once per process.
+inline bool cpu_has_avx2() {
+  static const bool yes = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return yes;
+}
+#endif
+
+/// The fixed-width assignment entry: the widest leg this CPU runs, for
+/// batches of at least one AVX2 vector.  Shorter batches (the n = 1
+/// gen_key path among them) stay inline on the SSE2 leg rather than pay
+/// a call into the AVX2 function.
+template <class T, std::size_t Dims>
+inline void nearest_centroids_fixed(const T* pts, std::size_t n, const double* centroids,
+                                    std::size_t k, int* keys) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (n >= sizeof(v4d) / sizeof(double) && cpu_has_avx2()) {
+    nearest_centroids_avx2<T, Dims>(pts, n, centroids, k, keys);
+    return;
+  }
+#endif
+  nearest_centroids_lanes<v2d, T, Dims>(pts, n, centroids, k, keys);
 }
 
 }  // namespace detail

@@ -190,16 +190,6 @@ void serialize_map(const CombinationMap& map, Buffer& out) {
   }
 }
 
-void serialize_map_v1(const CombinationMap& map, Buffer& out) {
-  Writer w(out);
-  w.write<std::uint64_t>(map.size());
-  for (const auto& [key, obj] : map) {
-    w.write<std::int32_t>(key);
-    w.write_string(obj->type_name());
-    obj->serialize(w);
-  }
-}
-
 CombinationMap deserialize_map(Reader& r) {
   CombinationMap map;
   // First-wins on duplicate keys, matching the emplace semantics the

@@ -338,8 +338,9 @@ struct RedObjRegistrar {
 // registry lock per type, not per entry).  Decode auto-detects the format
 // from the leading u64, so v1 payloads (plain u64 entry count, then
 // {i32 key, string type_name, payload} per entry) — e.g. checkpoints
-// written before the format change — still load.  Encoders always emit v2;
-// serialize_map_v1 keeps the legacy encoder for compat tests and benches.
+// written before the format change — still load.  Encoders always emit v2
+// (the v1 encoder lives in bench/legacy_map_codec.h, for the compat tests
+// and the codec bench).
 
 namespace wire {
 /// 0xFF sentinel bytes + "SMV2": a v1 payload would need ~10^18 entries
@@ -349,10 +350,6 @@ constexpr std::uint8_t kMapWireFormatV2 = 2;
 }  // namespace wire
 
 void serialize_map(const CombinationMap& map, Buffer& out);
-/// Legacy v1 encoder (per-entry type names).  Kept for backward-compat
-/// tests (old checkpoints decode through the same auto-detecting readers)
-/// and the codec before/after microbenches.
-void serialize_map_v1(const CombinationMap& map, Buffer& out);
 CombinationMap deserialize_map(Reader& r);
 inline CombinationMap deserialize_map(const Buffer& buf) {
   Reader r(buf);

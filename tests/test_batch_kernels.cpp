@@ -9,8 +9,9 @@
 // chain, so equality here is EXPECT_EQ on doubles, not EXPECT_NEAR.
 //
 // Also covered: the kernel-level identities the batched apps rely on
-// (truncation == floor after clamping, lane-packed argmin == scalar argmin
-// with the lowest-index tie rule, NaN and infinite points included),
+// (truncation == floor after clamping, points-in-lanes argmin == scalar
+// argmin on every ISA leg with the lowest-index tie rule, NaN and infinite
+// points included),
 // trigger-driven mid-batch erase through the
 // default accumulate_batch, split-policy invariance for integer apps, and
 // the worker_skew metric.  Registered under the `schedule` ctest label and
@@ -23,6 +24,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "analytics/batch_kernels.h"
@@ -168,9 +170,8 @@ TEST(NearestCentroids, NanPointTakesKeyZeroNotTheNeighboursKey) {
 
 TEST(NearestCentroids, TiesBreakToLowestIndex) {
   // Duplicate centroids (every point ties across indices 0/2) and points
-  // exactly midway between two distinct centroids: lane 0 holds the even
-  // centroids and lane 1 the odd ones, so a tie across lanes must still
-  // resolve to the lower index, as the scalar scan does.
+  // exactly midway between two distinct centroids: a tie must resolve to
+  // the lower index, as the scalar scan does.
   const std::size_t dims = 4;
   const std::vector<double> centroids = {
       0.0, 0.0, 0.0, 0.0,  // c0
@@ -194,6 +195,91 @@ TEST(NearestCentroids, TiesBreakToLowestIndex) {
   for (std::size_t p = 0; p < n; ++p) {
     ASSERT_EQ(keys[p], ref_nearest(pts.data() + p * dims, dims, centroids.data(), k)) << p;
   }
+}
+
+// The fixed-width assignment kernel's ISA legs, called directly: the
+// dispatcher reaches only one of them on a given CPU, so a leg the host
+// does not pick would otherwise go untested.
+struct Sse2Leg {
+  template <class T, std::size_t Dims>
+  static void assign(const T* pts, std::size_t n, const double* centroids, std::size_t k,
+                     int* keys) {
+    kernels::detail::nearest_centroids_lanes<kernels::detail::v2d, T, Dims>(pts, n, centroids,
+                                                                             k, keys);
+  }
+};
+
+#if defined(__x86_64__) || defined(__i386__)
+struct Avx2Leg {
+  template <class T, std::size_t Dims>
+  static void assign(const T* pts, std::size_t n, const double* centroids, std::size_t k,
+                     int* keys) {
+    kernels::detail::nearest_centroids_avx2<T, Dims>(pts, n, centroids, k, keys);
+  }
+};
+#endif
+
+// Every (k, n) in the grid against the scalar early-exit scan, point by
+// point.  Centroid k-1 duplicates centroid 0 and some points sit exactly on
+// centroid 0, so exact ties occur; non-finite rows land at the start, the
+// middle and the end of each batch, and a sentinel past keys[n-1] catches
+// an over-long store.
+template <class Leg, class T, std::size_t Dims>
+void expect_leg_matches_scalar(Rng& rng) {
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  const T inf = std::numeric_limits<T>::infinity();
+  for (const std::size_t k : {1u, 2u, 3u, 7u, 8u, 9u, 17u, 40u}) {
+    std::vector<double> centroids(k * Dims);
+    for (auto& v : centroids) v = static_cast<double>(static_cast<T>(rng.uniform(-5.0, 5.0)));
+    for (std::size_t d = 0; d < Dims; ++d) centroids[(k - 1) * Dims + d] = centroids[d];
+    for (const std::size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 63u, 64u, 65u}) {
+      std::vector<T> pts(n * Dims);
+      for (auto& v : pts) v = static_cast<T>(rng.uniform(-5.0, 5.0));
+      for (std::size_t p = 2; p < n; p += 5) {
+        for (std::size_t d = 0; d < Dims; ++d) pts[p * Dims + d] = static_cast<T>(centroids[d]);
+      }
+      if (n >= 4) {
+        pts[(n / 2) * Dims + Dims - 1] = nan;
+        pts[0] = inf;
+        pts[(n - 1) * Dims] = -inf;
+        pts[(n / 3) * Dims] = inf;
+        pts[(n / 3) * Dims + 1] = nan;
+      }
+      constexpr int kSentinel = -7;
+      std::vector<int> keys(n + 1, kSentinel);
+      Leg::template assign<T, Dims>(pts.data(), n, centroids.data(), k, keys.data());
+      for (std::size_t p = 0; p < n; ++p) {
+        ASSERT_EQ(keys[p], (kernels::detail::nearest_centroid_fixed<T, Dims>(
+                               pts.data() + p * Dims, centroids.data(), k)))
+            << "dims=" << Dims << " k=" << k << " n=" << n << " p=" << p
+            << " float=" << std::is_same_v<T, float>;
+      }
+      ASSERT_EQ(keys[n], kSentinel) << "dims=" << Dims << " k=" << k << " n=" << n;
+    }
+  }
+}
+
+template <class Leg>
+void expect_every_width_matches_scalar() {
+  Rng rng(905);
+  ASSERT_NO_FATAL_FAILURE((expect_leg_matches_scalar<Leg, double, 2>(rng)));
+  ASSERT_NO_FATAL_FAILURE((expect_leg_matches_scalar<Leg, double, 3>(rng)));
+  ASSERT_NO_FATAL_FAILURE((expect_leg_matches_scalar<Leg, double, 4>(rng)));
+  ASSERT_NO_FATAL_FAILURE((expect_leg_matches_scalar<Leg, double, 8>(rng)));
+  ASSERT_NO_FATAL_FAILURE((expect_leg_matches_scalar<Leg, float, 2>(rng)));
+  ASSERT_NO_FATAL_FAILURE((expect_leg_matches_scalar<Leg, float, 3>(rng)));
+  ASSERT_NO_FATAL_FAILURE((expect_leg_matches_scalar<Leg, float, 4>(rng)));
+  ASSERT_NO_FATAL_FAILURE((expect_leg_matches_scalar<Leg, float, 8>(rng)));
+}
+
+TEST(NearestCentroids, EveryIsaLegMatchesScalarScan) {
+  ASSERT_NO_FATAL_FAILURE(expect_every_width_matches_scalar<Sse2Leg>());
+#if defined(__x86_64__) || defined(__i386__)
+  if (!kernels::detail::cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2; the SSE2 leg passed";
+  expect_every_width_matches_scalar<Avx2Leg>();
+#else
+  GTEST_SKIP() << "no AVX2 leg on this architecture; the SSE2 leg passed";
+#endif
 }
 
 TEST(AccumulateKernels, PointSumsMatchPerPointOrderBitForBit) {

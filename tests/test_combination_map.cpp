@@ -13,6 +13,7 @@
 
 #include "analytics/histogram.h"
 #include "analytics/red_objs.h"
+#include "bench/legacy_map_codec.h"
 #include "core/checkpoint.h"
 #include "core/red_obj.h"
 
