@@ -392,6 +392,56 @@ BENCHMARK(BM_TopologyMakespanDragonfly)->Unit(benchmark::kMillisecond);
 constexpr int kFanoutRanks = 8;
 constexpr std::size_t kFanoutChunk = 32u * 1024;
 constexpr int kFanoutRoundsPerLaunch = 8;
+constexpr int kFanoutTagBase = 200;
+
+/// The copying alltoall simmpi used to ship next to the arena one, over the
+/// public point-to-point API: every lvalue send deep-copies its payload
+/// into the envelope (counted in payload_bytes_copied), and the receives,
+/// drained in completion order, steal the exclusive bytes.  `tag` isolates
+/// rounds the way the collective's epoch did.
+std::vector<Buffer> legacy_copying_alltoall(Communicator& comm, const std::vector<Buffer>& sends,
+                                            int tag) {
+  const int n = comm.size();
+  std::vector<Buffer> recvs(static_cast<std::size_t>(n));
+  recvs[static_cast<std::size_t>(comm.rank())] = sends[static_cast<std::size_t>(comm.rank())];
+  for (int r = 0; r < n; ++r) {
+    if (r != comm.rank()) comm.send(r, tag, sends[static_cast<std::size_t>(r)]);
+  }
+  for (int i = 0; i < n - 1; ++i) {
+    int src = kAnySource;
+    Buffer got = comm.recv(kAnySource, tag, &src);
+    recvs[static_cast<std::size_t>(src)] = std::move(got);
+  }
+  return recvs;
+}
+
+/// The copying scatter: the root copies one chunk per child out.
+Buffer legacy_copying_scatter(Communicator& comm, const std::vector<Buffer>& chunks, int root,
+                              int tag) {
+  if (comm.rank() != root) return comm.recv(root, tag);
+  for (int r = 0; r < comm.size(); ++r) {
+    if (r != root) comm.send(r, tag, chunks[static_cast<std::size_t>(r)]);
+  }
+  return chunks[static_cast<std::size_t>(root)];
+}
+
+/// The copying gather: every child's lvalue reply is copied into its
+/// envelope; the root drains them in completion order.
+std::vector<Buffer> legacy_copying_gather(Communicator& comm, const Buffer& local, int root,
+                                          int tag) {
+  if (comm.rank() != root) {
+    comm.send(root, tag, local);
+    return {};
+  }
+  std::vector<Buffer> all(static_cast<std::size_t>(comm.size()));
+  all[static_cast<std::size_t>(root)] = local;
+  for (int i = 0; i < comm.size() - 1; ++i) {
+    int src = kAnySource;
+    Buffer got = comm.recv(kAnySource, tag, &src);
+    all[static_cast<std::size_t>(src)] = std::move(got);
+  }
+  return all;
+}
 
 /// Before side: every rank materializes one owning Buffer per destination
 /// and the transport deep-copies each payload into its envelope — n²
@@ -405,7 +455,7 @@ void BM_CopyingAlltoall8Ranks(benchmark::State& state) {
       for (int round = 0; round < kFanoutRoundsPerLaunch; ++round) {
         std::vector<Buffer> sends(static_cast<std::size_t>(comm.size()));
         for (auto& b : sends) b.assign(kFanoutChunk, std::byte{5});
-        benchmark::DoNotOptimize(comm.alltoall(sends));
+        benchmark::DoNotOptimize(legacy_copying_alltoall(comm, sends, kFanoutTagBase + round));
       }
     });
     copied += payload_bytes_copied() - before;
@@ -456,8 +506,9 @@ void BM_CopyingScatterGather8Ranks(benchmark::State& state) {
         if (comm.rank() == 0) {
           chunks.assign(static_cast<std::size_t>(comm.size()), Buffer(kFanoutChunk, std::byte{6}));
         }
-        const Buffer mine = comm.scatter(chunks, 0);
-        benchmark::DoNotOptimize(comm.gather(mine, 0));
+        const int tag = kFanoutTagBase + 2 * round;
+        const Buffer mine = legacy_copying_scatter(comm, chunks, 0, tag);
+        benchmark::DoNotOptimize(legacy_copying_gather(comm, mine, 0, tag + 1));
       }
     });
     copied += payload_bytes_copied() - before;

@@ -12,9 +12,11 @@
 # so data races are the bug class worth a dedicated pass.
 #
 # The ASan half rebuilds the serialization- and fault-heavy tests plus
-# test_obs in build-asan/ with -DSMART_SANITIZE=address: checkpoint parsing
-# of untrusted headers, mid-round rollback of partially merged maps,
-# rank-death unwinding and metric lifetimes across a registry reset are
+# test_obs, test_transport and test_simmpi in build-asan/ with
+# -DSMART_SANITIZE=address: checkpoint parsing of untrusted headers,
+# mid-round rollback of partially merged maps, rank-death unwinding
+# (including SharedBuffer slices released when a gather leaves a dead
+# rank's slot null) and metric lifetimes across a registry reset are
 # exactly where lifetime and bounds bugs would hide.
 #
 # Every ctest invocation runs with a hard per-test timeout (each test also
@@ -298,11 +300,12 @@ if [[ "$run_tsan" == 1 ]]; then
 fi
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "== asan: build test_fault_tolerance + test_serialize + test_distributed + test_obs =="
+  echo "== asan: build test_fault_tolerance + test_serialize + test_distributed + test_obs + test_transport + test_simmpi =="
   cmake -B "$repo/build-asan" -S "$repo" -DSMART_SANITIZE=address \
     -DSMART_BUILD_BENCHES=OFF -DSMART_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build "$repo/build-asan" -j "$jobs" \
-    --target test_fault_tolerance test_serialize test_distributed test_obs
+    --target test_fault_tolerance test_serialize test_distributed test_obs \
+             test_transport test_simmpi
 
   echo "== asan: run =="
   ASAN_OPTIONS="halt_on_error=1" "$repo/build-asan/tests/test_fault_tolerance"
@@ -311,6 +314,10 @@ if [[ "$run_asan" == 1 ]]; then
   # Metrics registry lifetime: reset() must not free histograms that
   # instrument sites hold by cached reference.
   ASAN_OPTIONS="halt_on_error=1" "$repo/build-asan/tests/test_obs"
+  # Transport under rank death: kill-mid-scatter and the bounded gather's
+  # null slots release shared arena slices while peers still hold views.
+  ASAN_OPTIONS="halt_on_error=1" "$repo/build-asan/tests/test_transport"
+  ASAN_OPTIONS="halt_on_error=1" "$repo/build-asan/tests/test_simmpi"
 fi
 
 echo "== check.sh: all green =="

@@ -11,8 +11,8 @@
 namespace smart {
 
 namespace {
-// Internal tag space, below the communicator's own collectives (-1000..)
-// and the ring allreduce (-8000..).
+// Internal tag space, below the communicator's own collectives
+// (-1000..-6000).
 constexpr int kTreeTag = -9000;
 constexpr int kRingReduceTag = -9200;
 constexpr int kRingGatherTag = -9400;

@@ -2,7 +2,7 @@
 // simmpi communicator (paper Algorithm 1, lines 11-17).
 //
 // The naive implementation passes a Buffer×Buffer→Buffer lambda to
-// Communicator::allreduce, which pays deserialize_map + merge +
+// Communicator::allreduce_shared, which pays deserialize_map + merge +
 // serialize_map at *every* hop of the binomial reduction tree — O(log n)
 // redundant codec passes per rank per round.  MapCombiner instead keeps the
 // merged state as a live CombinationMap at interior tree nodes and only
@@ -24,9 +24,9 @@
 //     merged segment, then an allgather circulates the finished segments —
 //     forwarding the received bytes verbatim, with no re-encode.  Each rank
 //     ships ~2·S/n·(n-1) bytes regardless of depth (vs the tree's root
-//     shipping S·log n), mirroring allreduce_sum_ring.  Codec work is per
-//     segment, so the full-map codec counters stay at zero; the cost is
-//     visible in codec_seconds / wire_bytes.
+//     shipping S·log n); it is the runtime's only ring allreduce.  Codec
+//     work is per segment, so the full-map codec counters stay at zero; the
+//     cost is visible in codec_seconds / wire_bytes.
 //   * direct: reduce, then the root hands one SharedBuffer straight to
 //     every peer (zero per-peer copies, no interior forwarding).
 //   * fault-tolerant ("ft_tree"): direct over a rank group (the whole

@@ -137,9 +137,6 @@ struct RecoveryPolicy {
   /// cannot resurrect a dead rank.
   int combine_retries = 2;
 
-  /// First retry backoff; doubles per subsequent retry.
-  double retry_backoff_seconds = 0.005;
-
   bool fault_tolerant_combination() const { return peer_timeout_seconds > 0.0; }
 };
 

@@ -809,6 +809,10 @@ class Scheduler {
     stats_.combination_seconds += critical_path;
   }
 
+  /// First backoff of a fault-tolerant combination retry; doubles per
+  /// subsequent retry.
+  static constexpr double kRetryBackoffSeconds = 0.005;
+
   /// Algorithm 1 lines 11-17, global half: rank maps merge across simmpi
   /// via MapCombiner (single-pass tree or key-partitioned ring; see
   /// core/map_combiner.h) and the global map replaces every rank's local
@@ -867,7 +871,7 @@ class Scheduler {
         if (attempt + 1 >= max_attempts) throw;
         ++stats_.combine_retries;
         std::this_thread::sleep_for(std::chrono::duration<double>(
-            recovery_.retry_backoff_seconds * static_cast<double>(1 << attempt)));
+            kRetryBackoffSeconds * static_cast<double>(1 << attempt)));
       }
     }
     stats_.global_seconds += wall.seconds();

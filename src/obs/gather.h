@@ -4,10 +4,11 @@
 // smart_simmpi itself links smart_obs (the send/recv instrumentation), so
 // the Communicator-dependent pieces live here rather than in the library.
 //
-// Both gathers are collective over the communicator and degrade instead of
-// hanging: the root receives every peer's payload with recv_timeout, so a
-// rank that died mid-run (simmpi fault injection) is reported in
-// `missing_ranks` and the merged timeline/snapshot still gets written from
+// Both gathers are collective over the communicator, thin callers of the
+// bounded Communicator::gather_shared, and degrade instead of hanging: a
+// rank that died mid-run (simmpi fault injection) or stayed silent past
+// `timeout_seconds` comes back as a null slot, is reported in
+// `missing_ranks`, and the merged timeline/snapshot still gets written from
 // the survivors.
 #pragma once
 
@@ -19,14 +20,8 @@
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 #include "simmpi/communicator.h"
-#include "simmpi/fault.h"
 
 namespace smart::obs {
-
-/// Positive user-space tags well clear of the runtime's (core/intransit
-/// uses 400..404; simmpi internals are negative).
-constexpr int kTraceGatherTag = 24601;
-constexpr int kMetricsGatherTag = 24602;
 
 /// Collective: every rank ships its slice of the process-global trace to
 /// rank 0, which merges (timestamp order) and writes a Chrome-trace JSON
@@ -37,34 +32,34 @@ inline bool gather_trace_to_rank0(simmpi::Communicator& comm, const std::string&
                                   double timeout_seconds = 5.0,
                                   std::vector<int>* missing = nullptr) {
   TraceCollector& tc = TraceCollector::instance();
-  if (comm.rank() != 0) {
-    Buffer buf;
-    Writer w(buf);
-    serialize_events(w, tc.snapshot_events(comm.world_rank(), /*include_unattributed=*/false));
-    comm.send(0, kTraceGatherTag, std::move(buf));
-    return true;
-  }
-
   // Root keeps its own slice plus events from threads outside any launch
   // (e.g. a main thread that traced setup work).
-  std::vector<TraceEvent> merged =
-      tc.snapshot_events(comm.world_rank(), /*include_unattributed=*/true);
-  for (int peer = 1; peer < comm.size(); ++peer) {
-    try {
-      const Buffer buf = comm.recv_timeout(peer, kTraceGatherTag, timeout_seconds);
-      Reader r(buf);
-      std::vector<TraceEvent> events = deserialize_events(r);
-      merged.insert(merged.end(), std::make_move_iterator(events.begin()),
-                    std::make_move_iterator(events.end()));
-    } catch (const simmpi::PeerUnreachable&) {
-      if (missing != nullptr) missing->push_back(peer);
-    }
+  std::vector<TraceEvent> events =
+      tc.snapshot_events(comm.world_rank(), /*include_unattributed=*/comm.rank() == 0);
+  Buffer buf;
+  if (comm.rank() != 0) {
+    Writer w(buf);
+    serialize_events(w, events);
   }
-  std::stable_sort(merged.begin(), merged.end(),
+  const auto slices = comm.gather_shared(make_shared_buffer(std::move(buf)), 0, timeout_seconds);
+  if (comm.rank() != 0) return true;
+
+  for (int peer = 1; peer < comm.size(); ++peer) {
+    const SharedBuffer& slice = slices[static_cast<std::size_t>(peer)];
+    if (!slice) {
+      if (missing != nullptr) missing->push_back(peer);
+      continue;
+    }
+    Reader r(slice);
+    std::vector<TraceEvent> peer_events = deserialize_events(r);
+    events.insert(events.end(), std::make_move_iterator(peer_events.begin()),
+                  std::make_move_iterator(peer_events.end()));
+  }
+  std::stable_sort(events.begin(), events.end(),
                    [](const TraceEvent& a, const TraceEvent& b) { return a.ts_us < b.ts_us; });
   // Ranks are threads of this process, so the process-global drop counter
   // covers every lane that fed the merge.
-  return write_chrome_trace_file(path, merged, tc.dropped_events());
+  return write_chrome_trace_file(path, events, tc.dropped_events());
 }
 
 /// Collective: merges per-rank registry snapshots onto rank 0 (counters and
@@ -75,22 +70,22 @@ inline MetricsSnapshot gather_metrics_to_rank0(simmpi::Communicator& comm,
                                                const MetricsRegistry& local,
                                                double timeout_seconds = 5.0) {
   MetricsSnapshot snap = local.snapshot();
+  Buffer buf;
   if (comm.rank() != 0) {
-    Buffer buf;
     Writer w(buf);
     snap.serialize(w);
-    comm.send(0, kMetricsGatherTag, std::move(buf));
-    return snap;
   }
+  const auto slices = comm.gather_shared(make_shared_buffer(std::move(buf)), 0, timeout_seconds);
+  if (comm.rank() != 0) return snap;
 
   for (int peer = 1; peer < comm.size(); ++peer) {
-    try {
-      const Buffer buf = comm.recv_timeout(peer, kMetricsGatherTag, timeout_seconds);
-      Reader r(buf);
-      snap.merge(MetricsSnapshot::deserialize(r));
-    } catch (const simmpi::PeerUnreachable&) {
+    const SharedBuffer& slice = slices[static_cast<std::size_t>(peer)];
+    if (!slice) {
       snap.missing_ranks.push_back(peer);
+      continue;
     }
+    Reader r(slice);
+    snap.merge(MetricsSnapshot::deserialize(r));
   }
   return snap;
 }

@@ -27,7 +27,6 @@ constexpr int kGatherTag = -3000;
 constexpr int kReduceTag = -4000;
 constexpr int kScatterTag = -5000;
 constexpr int kAlltoallTag = -6000;
-constexpr int kSplitTag = -7000;
 
 std::atomic<std::uint64_t> g_payload_bytes_copied{0};
 
@@ -368,7 +367,8 @@ Envelope Communicator::recv_envelope(int source, int tag, std::uint64_t epoch) {
   return e;
 }
 
-Envelope Communicator::recv_envelope_timeout(int source, int tag, double timeout_seconds) {
+Envelope Communicator::recv_envelope_timeout(int source, int tag, double timeout_seconds,
+                                             std::uint64_t epoch) {
   charge_own_cpu();
   const int world_source = source == kAnySource ? kAnySource : to_world(source);
   inject_recv_faults(world_source, tag);
@@ -382,7 +382,7 @@ Envelope Communicator::recv_envelope_timeout(int source, int tag, double timeout
     const double waited = std::chrono::duration<double>(now - start).count();
     // A message already queued always wins, even from a freshly dead peer:
     // its data was on the wire before the death.
-    if (auto e = box.try_receive(world_source, tag)) {
+    if (auto e = box.try_receive(world_source, tag, epoch)) {
       if (measure) observe_recv_wait(start);
       return std::move(*e);
     }
@@ -407,7 +407,8 @@ Envelope Communicator::recv_envelope_timeout(int source, int tag, double timeout
     const auto slice = std::min<std::chrono::steady_clock::duration>(
         deadline - now, std::chrono::milliseconds(5));
     if (auto e = box.receive_for(world_source, tag,
-                                 std::chrono::duration_cast<std::chrono::nanoseconds>(slice))) {
+                                 std::chrono::duration_cast<std::chrono::nanoseconds>(slice),
+                                 epoch)) {
       if (measure) observe_recv_wait(start);
       return std::move(*e);
     }
@@ -473,20 +474,6 @@ std::vector<int> Communicator::alive_ranks() const {
   return out;
 }
 
-std::optional<Buffer> Communicator::try_recv(int source, int tag, int* actual_source,
-                                             int* actual_tag) {
-  charge_own_cpu();
-  const int world_source = source == kAnySource ? kAnySource : to_world(source);
-  auto e = world_.mailbox(world_rank_).try_receive(world_source, tag);
-  if (!e) return std::nullopt;
-  return deliver(std::move(*e), actual_source, actual_tag);
-}
-
-bool Communicator::probe(int source, int tag) const {
-  const int world_source = source == kAnySource ? kAnySource : to_world(source);
-  return world_.mailbox(world_rank_).has_match(world_source, tag);
-}
-
 void Communicator::barrier() {
   // Dissemination barrier: ceil(log2(n)) rounds of shifted exchanges.
   const int n = size();
@@ -524,51 +511,6 @@ void Communicator::bcast_shared(SharedBuffer& data, int root) {
   }
 }
 
-void Communicator::bcast(Buffer& buf, int root) {
-  // Owning-buffer facade over bcast_shared: the root wraps a copy (its
-  // caller keeps `buf`, while receivers may hold references to the shared
-  // bytes after this call returns), non-roots materialize their own copy.
-  SharedBuffer data;
-  if (rank_ == root && !buf.empty()) data = make_shared_buffer(pooled_copy(buf));
-  bcast_shared(data, root);
-  if (rank_ != root) {
-    buf = data.empty() ? Buffer{} : pooled_copy(data);
-  }
-}
-
-std::vector<Buffer> Communicator::gather(const Buffer& local, int root) {
-  const int n = size();
-  // Every call advances this rank's round counter; all ranks call the
-  // collective the same number of times, so the counters agree without
-  // coordination.  The epoch rides in the Envelope and the root's
-  // any-source receives match only this round's messages.
-  const std::uint64_t epoch = gather_epoch_++;
-  if (rank_ != root) {
-    SharedBuffer data;
-    if (!local.empty()) data = make_shared_buffer(pooled_copy(local));
-    send_envelope(root, kGatherTag, std::move(data), /*shared=*/false, epoch);
-    return {};
-  }
-  std::vector<Buffer> all(static_cast<std::size_t>(n));
-  all[static_cast<std::size_t>(rank_)] = local;
-  // Drain children in completion order instead of fixed rank order: a slow
-  // early rank no longer head-of-line-blocks the fast ones behind it.
-  for (int i = 0; i < n - 1; ++i) {
-    obs::TraceSpan span("recv", "mpi", {{"tag", kGatherTag}});
-    Envelope e = recv_envelope(kAnySource, kGatherTag, epoch);
-    span.arg("vt0_ns", vt_ns(state_->vclock));
-    span.arg("bytes", static_cast<std::int64_t>(e.size()));
-    int src = kAnySource;
-    Buffer got = deliver(std::move(e), &src, nullptr);
-    span.arg("vt1_ns", vt_ns(state_->vclock));
-    if (src == kAnySource || src == root) {
-      throw std::logic_error("simmpi::gather: unexpected message source");
-    }
-    all[static_cast<std::size_t>(src)] = std::move(got);
-  }
-  return all;
-}
-
 SharedBuffer Communicator::scatter_shared(const std::vector<SharedBuffer>& slices, int root) {
   if (rank_ != root) return recv_shared(root, kScatterTag);
   if (slices.size() != static_cast<std::size_t>(size())) {
@@ -593,8 +535,10 @@ std::vector<SharedBuffer> Communicator::alltoall_shared(const std::vector<Shared
     throw std::invalid_argument("simmpi::alltoall_shared: need one slice per rank");
   }
   obs::TraceSpan span("alltoall.arena", "mpi", {{"ranks", n}});
-  // Shares the copying alltoall's epoch counter, so mixed copying/arena
-  // rounds still isolate correctly (see gather's comment on the scheme).
+  // Every call advances this rank's round counter; all ranks call the
+  // collective the same number of times, so the counters agree without
+  // coordination.  The epoch rides in the Envelope and the any-source
+  // receives below match only this round's messages.
   const std::uint64_t epoch = alltoall_epoch_++;
   std::vector<SharedBuffer> recvs(static_cast<std::size_t>(n));
   recvs[static_cast<std::size_t>(rank_)] = sends[static_cast<std::size_t>(rank_)];
@@ -620,9 +564,10 @@ std::vector<SharedBuffer> Communicator::alltoall_shared(const std::vector<Shared
   return recvs;
 }
 
-std::vector<SharedBuffer> Communicator::gather_shared(SharedBuffer local, int root) {
+std::vector<SharedBuffer> Communicator::gather_shared(SharedBuffer local, int root,
+                                                     double timeout_seconds) {
   const int n = size();
-  // Same per-rank round counter as the copying gather (see there).
+  // Same per-rank round counter scheme as alltoall_shared (see there).
   const std::uint64_t epoch = gather_epoch_++;
   if (rank_ != root) {
     count_arena_bytes(local.size());
@@ -634,7 +579,21 @@ std::vector<SharedBuffer> Communicator::gather_shared(SharedBuffer local, int ro
   all[static_cast<std::size_t>(rank_)] = std::move(local);
   for (int i = 0; i < n - 1; ++i) {
     obs::TraceSpan rspan("recv", "mpi", {{"tag", kGatherTag}});
-    Envelope e = recv_envelope(kAnySource, kGatherTag, epoch);
+    Envelope e;
+    if (timeout_seconds > 0.0) {
+      // Rank order, one deadline per peer: a dead or silent peer costs at
+      // most its own wait and leaves its slot null.
+      const int peer = i < root ? i : i + 1;
+      try {
+        e = recv_envelope_timeout(peer, kGatherTag, timeout_seconds, epoch);
+      } catch (const PeerUnreachable&) {
+        continue;
+      }
+    } else {
+      // Completion order: a slow early rank does not head-of-line-block
+      // the fast ones behind it.
+      e = recv_envelope(kAnySource, kGatherTag, epoch);
+    }
     rspan.arg("vt0_ns", vt_ns(state_->vclock));
     rspan.arg("bytes", static_cast<std::int64_t>(e.size()));
     int src = kAnySource;
@@ -648,49 +607,6 @@ std::vector<SharedBuffer> Communicator::gather_shared(SharedBuffer local, int ro
     all[static_cast<std::size_t>(src)] = std::move(got);
   }
   return all;
-}
-
-Buffer Communicator::scatter(const std::vector<Buffer>& chunks, int root) {
-  if (rank_ == root) {
-    if (chunks.size() != static_cast<std::size_t>(size())) {
-      throw std::invalid_argument("simmpi::scatter: need one chunk per rank");
-    }
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) continue;
-      send(r, kScatterTag, chunks[static_cast<std::size_t>(r)]);
-    }
-    return chunks[static_cast<std::size_t>(root)];
-  }
-  return recv(root, kScatterTag);
-}
-
-std::vector<Buffer> Communicator::alltoall(const std::vector<Buffer>& sends) {
-  const int n = size();
-  if (sends.size() != static_cast<std::size_t>(n)) {
-    throw std::invalid_argument("simmpi::alltoall: need one buffer per rank");
-  }
-  // Same per-rank round counter scheme as gather (see there).
-  const std::uint64_t epoch = alltoall_epoch_++;
-  std::vector<Buffer> recvs(static_cast<std::size_t>(n));
-  recvs[static_cast<std::size_t>(rank_)] = sends[static_cast<std::size_t>(rank_)];
-  for (int r = 0; r < n; ++r) {
-    if (r == rank_) continue;
-    const Buffer& out = sends[static_cast<std::size_t>(r)];
-    SharedBuffer data;
-    if (!out.empty()) data = make_shared_buffer(pooled_copy(out));
-    send_envelope(r, kAlltoallTag, std::move(data), /*shared=*/false, epoch);
-  }
-  for (int i = 0; i < n - 1; ++i) {
-    obs::TraceSpan span("recv", "mpi", {{"tag", kAlltoallTag}});
-    Envelope e = recv_envelope(kAnySource, kAlltoallTag, epoch);
-    span.arg("vt0_ns", vt_ns(state_->vclock));
-    span.arg("bytes", static_cast<std::int64_t>(e.size()));
-    int src = kAnySource;
-    Buffer got = deliver(std::move(e), &src, nullptr);
-    span.arg("vt1_ns", vt_ns(state_->vclock));
-    recvs[static_cast<std::size_t>(src)] = std::move(got);
-  }
-  return recvs;
 }
 
 Buffer Communicator::reduce(Buffer local,
@@ -731,15 +647,6 @@ SharedBuffer Communicator::allreduce_shared(
   return data;
 }
 
-Buffer Communicator::allreduce(Buffer local,
-                               const std::function<Buffer(const Buffer&, const Buffer&)>& combine) {
-  // Owning facade: every rank pays for its private copy of the result
-  // (callers that can read in place should use allreduce_shared).
-  SharedBuffer data = allreduce_shared(std::move(local), combine);
-  if (data.empty()) return Buffer{};
-  return pooled_copy(data);
-}
-
 Communicator Communicator::split(int color, int key) {
   // Gather (color, key, world rank) triples to rank 0 of this communicator,
   // broadcast the full table, and carve out the same-color group sorted by
@@ -751,7 +658,7 @@ Communicator Communicator::split(int color, int key) {
     w.write(key);
     w.write(world_rank_);
   }
-  const std::vector<Buffer> table = gather(mine, 0);
+  const std::vector<SharedBuffer> table = gather_shared(make_shared_buffer(std::move(mine)), 0);
   // Rank 0 packs the table once and fans it out as one shared payload;
   // every rank (rank 0 included) deserializes straight from the shared
   // bytes, so the broadcast phase copies nothing.
@@ -799,7 +706,6 @@ Communicator Communicator::split(int color, int key) {
   // A barrier keeps successive collectives on parent and child communicators
   // from interleaving their internal tags across groups.
   barrier();
-  (void)kSplitTag;
   return Communicator(world_, world_rank_, std::move(world_ranks), state_);
 }
 

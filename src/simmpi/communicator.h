@@ -2,10 +2,13 @@
 //
 // Programming model (mirrors the LLNL MPI tutorial's subset that "most MPI
 // programs can be written with"): explicit rank/size, tagged point-to-point
-// send/recv, barrier, broadcast, gather, scatter, alltoall, reduce,
-// allreduce, and communicator splitting (MPI_Comm_split) for group-local
-// collectives — e.g. a simulation sub-communicator next to staging ranks.
-// All payloads are serialized byte buffers (common/serialize.h).
+// send/recv (blocking, or bounded by a deadline), barrier, reduce, and one
+// collective family whose payloads stay shared — broadcast, gather,
+// scatter, alltoall and allreduce hand SharedBuffer views around instead
+// of copying — plus communicator splitting (MPI_Comm_split) for
+// group-local collectives, e.g. a simulation sub-communicator next to
+// staging ranks.  All payloads are serialized byte buffers
+// (common/serialize.h).
 //
 // Virtual time model (see DESIGN.md §1): each rank carries a virtual clock.
 // Compute advances it by the rank thread's measured CPU time; parallel
@@ -25,7 +28,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,9 +42,9 @@ class World;
 
 /// Process-wide count of payload bytes physically copied by the transport
 /// (send-side copy-in for lvalue sends, receive-side materialization of
-/// shared fan-out payloads, bcast()'s root wrap).  Always on — the
-/// transport benches diff it around a run to prove fan-out sends share
-/// bytes instead of duplicating them.
+/// shared fan-out payloads).  Always on — the transport benches diff it
+/// around a run to prove fan-out sends share bytes instead of duplicating
+/// them.
 std::uint64_t payload_bytes_copied();
 
 namespace detail {
@@ -115,14 +117,6 @@ class Communicator {
   /// tree over the same reduced rank set without a consensus round.
   std::vector<int> alive_ranks() const;
 
-  /// Non-blocking probe-and-receive: returns the matched message if one is
-  /// already waiting, std::nullopt otherwise (MPI_Iprobe + MPI_Recv).
-  std::optional<Buffer> try_recv(int source, int tag, int* actual_source = nullptr,
-                                 int* actual_tag = nullptr);
-
-  /// True if a matching message is waiting (MPI_Iprobe).
-  bool probe(int source, int tag) const;
-
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   void send_value(int dest, int tag, const T& value) {
@@ -154,33 +148,20 @@ class Communicator {
   }
 
   // --- collectives (must be called by every rank of this communicator, in
-  // --- the same order) ------------------------------------------------------
+  // --- the same order).  Payloads stay shared end to end: serialize every
+  // --- destination into one PayloadArena (common/serialize.h), call
+  // --- finish(), and pass the slices — the fan-out ships offset/length
+  // --- views of the single arena allocation, so payload_bytes_copied()
+  // --- stays flat across the whole round, and receivers deserialize in
+  // --- place.  A caller that must mutate a result copies it itself.
   void barrier();
-  /// Root's buffer is distributed to everyone; others' buffers are replaced.
-  void bcast(Buffer& buf, int root);
   /// Shared-payload broadcast: the root's SharedBuffer is handed down the
   /// binomial tree with every hop *sharing* the same immutable bytes —
   /// zero payload copies anywhere in the tree.  On return every rank's
   /// `data` references the root's payload (never null).  This is the
   /// fan-out primitive the heavy paths (map combination broadcast,
-  /// checkpoint/result distribution) are built on; bcast() wraps it for
-  /// callers that need an owning Buffer.
+  /// checkpoint/result distribution) are built on.
   void bcast_shared(SharedBuffer& data, int root);
-  /// Rank-ordered buffers at root; empty vector elsewhere.
-  std::vector<Buffer> gather(const Buffer& local, int root);
-  /// Root distributes chunks[r] to each rank r; returns this rank's chunk.
-  Buffer scatter(const std::vector<Buffer>& chunks, int root);
-  /// Every rank sends sends[r] to rank r and receives one buffer from each;
-  /// result is indexed by source rank.
-  std::vector<Buffer> alltoall(const std::vector<Buffer>& sends);
-
-  // --- arena fast path: the zero-copy twins of scatter/alltoall/gather.
-  // --- Serialize every destination into one PayloadArena
-  // --- (common/serialize.h), call finish(), and pass the slices here: the
-  // --- fan-out ships offset/length views of the single arena allocation,
-  // --- so payload_bytes_copied() stays flat across the whole round.  Each
-  // --- is wire-compatible with its copying twin (same tags and epochs) and
-  // --- delivers results still shared — receivers deserialize in place.
   /// Root sends slices[r] to each rank r; returns this rank's slice (root:
   /// slices[root] untouched; non-root: never null).
   SharedBuffer scatter_shared(const std::vector<SharedBuffer>& slices, int root);
@@ -190,32 +171,30 @@ class Communicator {
   std::vector<SharedBuffer> alltoall_shared(const std::vector<SharedBuffer>& sends);
   /// Rank-ordered shared payloads at root (root-side placement stays
   /// shared: no per-child materializing copy); empty vector elsewhere.
-  std::vector<SharedBuffer> gather_shared(SharedBuffer local, int root);
+  /// With `timeout_seconds` > 0 the root waits for each peer in rank order,
+  /// each wait bounded like recv_timeout, and leaves a *null* slot for a
+  /// peer that is dead with nothing queued (given up at once) or silent
+  /// past its deadline; a payload queued before its sender died is still
+  /// returned, so null means missing.  0 waits unbounded, in completion
+  /// order.  A late payload from a round the root gave up on is never
+  /// consumed by a later round (see gather_epoch_).
+  std::vector<SharedBuffer> gather_shared(SharedBuffer local, int root,
+                                          double timeout_seconds = 0.0);
   /// Binomial-tree reduction with a user combiner; result valid at root only.
   Buffer reduce(Buffer local, int root,
                 const std::function<Buffer(const Buffer&, const Buffer&)>& combine);
   /// reduce + bcast_shared: the zero-copy core — the reduced payload is
   /// moved (never copied) into a shared buffer at the root and every rank
   /// hands the same immutable bytes back (never null; empty input yields
-  /// the canonical empty buffer).  Read it via Reader(result); use the
-  /// owning allreduce() facade only when the caller must mutate the bytes.
+  /// the canonical empty buffer).  Read it via Reader(result).
   SharedBuffer allreduce_shared(Buffer local,
                                 const std::function<Buffer(const Buffer&, const Buffer&)>& combine);
-  /// Owning facade over allreduce_shared (pays one materializing copy per
-  /// rank — the shared bytes are referenced tree-wide).
-  Buffer allreduce(Buffer local, const std::function<Buffer(const Buffer&, const Buffer&)>& combine);
 
   /// Element-wise sum allreduce over numeric vectors (the hand-written
   /// baselines' MPI_Allreduce equivalent).  Binomial tree + broadcast:
   /// latency-optimal, ships the full vector log2(n) times per rank.
   template <typename T>
   std::vector<T> allreduce_sum(const std::vector<T>& local);
-
-  /// Bandwidth-optimal ring allreduce (reduce-scatter + allgather): each
-  /// rank ships ~2x the vector once regardless of n — the right choice for
-  /// large payloads (see micro_core_ops for the crossover).
-  template <typename T>
-  std::vector<T> allreduce_sum_ring(const std::vector<T>& local);
 
   /// Scalar max allreduce — the cheap consensus primitive (8-byte
   /// payloads) collective algorithm selection is built on: every rank gets
@@ -282,9 +261,11 @@ class Communicator {
                      std::uint64_t epoch = 0);
   /// Blocking matched-envelope wait shared by recv / recv_shared.
   Envelope recv_envelope(int source, int tag, std::uint64_t epoch = kAnyEpoch);
-  /// Timed wait shared by recv_timeout / recv_shared_timeout; raises
-  /// PeerUnreachable on deadline or a dead awaited peer.
-  Envelope recv_envelope_timeout(int source, int tag, double timeout_seconds);
+  /// Timed wait shared by recv_timeout / recv_shared_timeout and the
+  /// bounded gather_shared; raises PeerUnreachable on deadline or a dead
+  /// awaited peer.
+  Envelope recv_envelope_timeout(int source, int tag, double timeout_seconds,
+                                 std::uint64_t epoch = kAnyEpoch);
   /// Folds a matched envelope's arrival time into the clock and hands the
   /// payload out still shared (common to every recv flavour).
   SharedBuffer deliver_shared(Envelope& e, int* actual_source, int* actual_tag);
@@ -301,8 +282,10 @@ class Communicator {
   /// Round counters for the any-source collectives (gather, alltoall):
   /// each call stamps its messages' Envelope::epoch so a fast rank's
   /// next-round message cannot be consumed by a root still draining the
-  /// previous round — the 64-bit field never wraps, unlike the mod-1000
-  /// tag suffix it replaced (which aliased round k with round k+1000).
+  /// previous round, nor a late payload from a round a bounded gather gave
+  /// up on by the round after it — the 64-bit field never wraps, unlike
+  /// the mod-1000 tag suffix it replaced (which aliased round k with round
+  /// k+1000).
   /// Collectives are called in the same order on every rank, so the
   /// counters stay in lockstep without coordination.
   std::uint64_t gather_epoch_ = 0;
@@ -325,44 +308,6 @@ std::vector<T> Communicator::allreduce_sum(const std::vector<T>& local) {
     return merged;
   });
   return Reader(out).read_vector<T>();
-}
-
-template <typename T>
-std::vector<T> Communicator::allreduce_sum_ring(const std::vector<T>& local) {
-  const int n = size();
-  std::vector<T> acc = local;
-  if (n == 1) return acc;
-  constexpr int kRingTag = -8000;
-
-  // Segment s covers [bounds[s], bounds[s+1]).
-  const std::size_t len = acc.size();
-  auto seg_begin = [&](int s) { return len * static_cast<std::size_t>(s) / static_cast<std::size_t>(n); };
-  const int right = (rank_ + 1) % n;
-  const int left = (rank_ - 1 + n) % n;
-
-  // Reduce-scatter: after n-1 steps, segment (rank+1) mod n is complete here.
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_seg = ((rank_ - step) % n + n) % n;
-    const int recv_seg = ((rank_ - step - 1) % n + n) % n;
-    std::vector<T> chunk(acc.begin() + static_cast<std::ptrdiff_t>(seg_begin(send_seg)),
-                         acc.begin() + static_cast<std::ptrdiff_t>(seg_begin(send_seg + 1)));
-    send_vector(right, kRingTag - step, chunk);
-    const std::vector<T> incoming = recv_vector<T>(left, kRingTag - step);
-    const std::size_t base = seg_begin(recv_seg);
-    for (std::size_t i = 0; i < incoming.size(); ++i) acc[base + i] += incoming[i];
-  }
-  // Allgather: circulate the completed segments.
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_seg = ((rank_ + 1 - step) % n + n) % n;
-    const int recv_seg = ((rank_ - step) % n + n) % n;
-    std::vector<T> chunk(acc.begin() + static_cast<std::ptrdiff_t>(seg_begin(send_seg)),
-                         acc.begin() + static_cast<std::ptrdiff_t>(seg_begin(send_seg + 1)));
-    send_vector(right, kRingTag - 100 - step, chunk);
-    const std::vector<T> incoming = recv_vector<T>(left, kRingTag - 100 - step);
-    const std::size_t base = seg_begin(recv_seg);
-    for (std::size_t i = 0; i < incoming.size(); ++i) acc[base + i] = incoming[i];
-  }
-  return acc;
 }
 
 }  // namespace smart::simmpi

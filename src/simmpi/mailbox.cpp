@@ -154,45 +154,49 @@ void Mailbox::notify_scheduled(int source, int tag, std::uint64_t epoch) {
 
 std::optional<Envelope> Mailbox::take_locked(int source, int tag, std::uint64_t epoch) {
   if (lanes_.empty()) return std::nullopt;
-  auto pop_lane = [&](std::unordered_map<std::uint64_t, Lane>::iterator it) {
-    Envelope e = std::move(it->second.q.front());
-    it->second.q.pop_front();
+  // First envelope of a lane in `epoch` (FIFO within a round).  Normally
+  // the head; a stale head — a late payload from a round its receiver gave
+  // up on — is passed over rather than blocking every later round.
+  auto first_match = [&](Lane& lane) {
+    auto it = lane.q.begin();
+    while (it != lane.q.end() && !epoch_matches(epoch, it->epoch)) ++it;
+    return it;
+  };
+  auto pop = [&](std::unordered_map<std::uint64_t, Lane>::iterator lane,
+                 std::deque<Envelope>::iterator at) {
+    Envelope e = std::move(*at);
+    lane->second.q.erase(at);
     --pending_;
     const std::size_t nbytes = e.size();
-    it->second.bytes -= nbytes;
+    lane->second.bytes -= nbytes;
     pending_bytes_ -= nbytes;
     if (senders_waiting_ != 0) space_cv_.notify_all();
-    if (it->second.q.empty()) {
-      // Erase drained lanes: collective tags descend every round, so keeping
-      // empty lanes around would grow the table without bound.
-      lanes_.erase(it);
-    } else {
-      // A new head is exposed; a parked epoch-selective waiter that skipped
-      // this lane because of the old head may now match it (only possible
-      // when several receiver threads share a mailbox — one rank thread
-      // consuming rounds in order never needs this).
-      const Envelope& head = it->second.q.front();
-      wake_matching_waiter_locked(head.source, head.tag, head.epoch);
-    }
+    // Erase drained lanes: collective tags descend every round, so keeping
+    // empty lanes around would grow the table without bound.
+    if (lane->second.q.empty()) lanes_.erase(lane);
     return e;
   };
   if (source != kAnySource && tag != kAnyTag) {
-    const auto it = lanes_.find(lane_key(source, tag));
-    if (it == lanes_.end()) return std::nullopt;
-    if (!epoch_matches(epoch, it->second.q.front().epoch)) return std::nullopt;
-    return pop_lane(it);
+    const auto lane = lanes_.find(lane_key(source, tag));
+    if (lane == lanes_.end()) return std::nullopt;
+    const auto at = first_match(lane->second);
+    if (at == lane->second.q.end()) return std::nullopt;
+    return pop(lane, at);
   }
-  // Wildcard receive: earliest arrival among the matching lanes' heads.
+  // Wildcard receive: earliest arrival among the matching lanes' candidates.
   auto best = lanes_.end();
+  std::deque<Envelope>::iterator best_at;
   for (auto it = lanes_.begin(); it != lanes_.end(); ++it) {
     if (!selector_matches(source, tag, it->second.source, it->second.tag)) continue;
-    if (!epoch_matches(epoch, it->second.q.front().epoch)) continue;
-    if (best == lanes_.end() || it->second.q.front().seq < best->second.q.front().seq) {
+    const auto at = first_match(it->second);
+    if (at == it->second.q.end()) continue;
+    if (best == lanes_.end() || at->seq < best_at->seq) {
       best = it;
+      best_at = at;
     }
   }
   if (best == lanes_.end()) return std::nullopt;
-  return pop_lane(best);
+  return pop(best, best_at);
 }
 
 void Mailbox::unregister_locked(Waiter* w) {
@@ -266,7 +270,7 @@ void Mailbox::mark_dead() {
 std::optional<Envelope> Mailbox::try_receive(int source, int tag, std::uint64_t epoch) {
   // Scheduled mode: give the controller the chance to commit held traffic
   // first, so a try_receive observes whatever the policy delivers (and a
-  // probe loop cannot spin forever on messages held upstream).
+  // polling loop cannot spin forever on messages held upstream).
   if (sched_ != nullptr) sched_->pump(sched_rank_, /*force=*/true);
   std::lock_guard<std::mutex> lock(mu_);
   return take_locked(source, tag, epoch);
@@ -336,17 +340,6 @@ std::optional<Envelope> Mailbox::receive_for_scheduled(int source, int tag,
       return e;
     }
   }
-}
-
-bool Mailbox::has_match(int source, int tag) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (source != kAnySource && tag != kAnyTag) {
-    return lanes_.find(lane_key(source, tag)) != lanes_.end();
-  }
-  for (const auto& [key, lane] : lanes_) {
-    if (selector_matches(source, tag, lane.source, lane.tag)) return true;
-  }
-  return false;
 }
 
 std::size_t Mailbox::pending() const {

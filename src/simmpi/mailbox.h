@@ -43,8 +43,10 @@ struct Envelope {
   /// alltoall): a root draining round k matches only epoch-k messages, so a
   /// sprinting peer's round-k+1 traffic can never be consumed as round k —
   /// at any round count (the old mod-1000 tag suffix wrapped and aliased
-  /// after 1000 rounds).  64-bit: never wraps in practice.  Plain sends
-  /// carry 0 and plain receives match any epoch.
+  /// after 1000 rounds) — and a late round-k payload a bounded gather gave
+  /// up on is passed over by round k+1 instead of blocking its lane.
+  /// 64-bit: never wraps in practice.  Plain sends carry 0 and plain
+  /// receives match any epoch.
   std::uint64_t epoch = 0;
   /// Serialized bytes; null means an empty payload.  Immutable once posted.
   SharedBuffer payload;
@@ -141,9 +143,6 @@ class Mailbox {
   /// post() stops blocking on full lanes (nobody will ever drain them) and
   /// blocked senders are released.
   void mark_dead();
-
-  /// True if a matching message is queued (does not consume it).
-  bool has_match(int source, int tag) const;
 
   std::size_t pending() const;
 

@@ -125,7 +125,7 @@ TEST(NearestCentroids, LaneKernelMatchesReference) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   for (const std::size_t dims : {2u, 3u, 4u, 8u, 5u}) {  // 5 exercises the generic path
-    for (const std::size_t k : {1u, 2u, 7u, 8u, 9u}) {  // odd k pads the last lane pair
+    for (const std::size_t k : {1u, 2u, 7u, 8u, 9u}) {  // 1 .. 9 broadcast centroids
       const std::size_t n = 403;  // not a multiple of 4: blocked body + tail
       std::vector<double> pts(n * dims), centroids(k * dims);
       for (auto& v : centroids) v = rng.uniform(-5.0, 5.0);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <chrono>
 #include <fstream>
 #include <latch>
 #include <optional>
@@ -523,8 +524,14 @@ TEST(MetricsGather, DeadRankIsReportedMissingNotHung) {
       [](simmpi::Communicator& comm) {
         obs::MetricsRegistry local;
         local.counter("test.rank_weight").add(comm.rank() + 1);
+        const auto t0 = std::chrono::steady_clock::now();
         const auto snap = obs::gather_metrics_to_rank0(comm, local, /*timeout_seconds=*/1.0);
+        const double waited =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
         if (comm.rank() == 0) {
+          // The dead rank is given up as soon as its death is known, not
+          // after the deadline.
+          EXPECT_LT(waited, 0.5);
           EXPECT_EQ(snap.ranks_merged, 2);  // ranks 0 and 1 reported
           EXPECT_EQ(snap.missing_ranks, (std::vector<int>{2}));
           EXPECT_EQ(snap.counters.at("test.rank_weight"), 1 + 2);

@@ -1,13 +1,15 @@
 // Tests for the single-pass combination wave: Writer buffer-reuse
 // primitives (position/patch/reserve), MapCombiner segment helpers and
-// algorithm consensus, ring allreduce degenerate lengths, CircularBuffer
-// close semantics, and RFC 4180 CSV output from the phase tracer.
+// algorithm consensus, the ring allreduce against the tree across shapes
+// and at degenerate key counts, CircularBuffer close semantics, and RFC
+// 4180 CSV output from the phase tracer.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <thread>
 
 #include "analytics/red_objs.h"
+#include "common/rng.h"
 #include "common/trace.h"
 #include "core/map_combiner.h"
 #include "core/red_obj.h"
@@ -313,32 +315,92 @@ TEST(MapCombiner, EmptyMapsCombineToEmpty) {
   });
 }
 
-// --- ring allreduce with degenerate vector lengths --------------------------
+// --- the runtime's ring allreduce (MapCombiner kRing) ------------------------
+
+/// Key k holds count weights[k]; runs the combination with `algo` and
+/// returns the global per-key counts in key order.
+std::vector<std::size_t> combine_counts(simmpi::Communicator& comm,
+                                        const std::vector<std::size_t>& weights,
+                                        MapCombiner::Algorithm algo) {
+  std::vector<std::pair<int, std::size_t>> entries;
+  for (std::size_t k = 0; k < weights.size(); ++k) {
+    entries.emplace_back(static_cast<int>(k), weights[k]);
+  }
+  auto map = bucket_map(entries);
+  MapCombiner combiner(algo);
+  combiner.allreduce(comm, map, bucket_merge());
+  std::vector<std::size_t> counts;
+  for (std::size_t k = 0; k < map.size(); ++k) counts.push_back(count_of(map, static_cast<int>(k)));
+  return counts;
+}
+
+class RingRanks : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {};
+
+TEST_P(RingRanks, MatchesTreeAllreduce) {
+  const auto [nranks, len] = GetParam();
+  auto weights_of = [len = len](int rank) {
+    Rng rng(derive_seed(700, static_cast<std::uint64_t>(rank)));
+    std::vector<std::size_t> w(len);
+    for (auto& x : w) x = static_cast<std::size_t>(rng.uniform_int(0, 1000));
+    return w;
+  };
+  std::vector<std::size_t> expected(len, 0);
+  for (int r = 0; r < nranks; ++r) {
+    const auto w = weights_of(r);
+    for (std::size_t k = 0; k < len; ++k) expected[k] += w[k];
+  }
+  simmpi::launch(nranks, [&](simmpi::Communicator& comm) {
+    const auto local = weights_of(comm.rank());
+    const auto ring = combine_counts(comm, local, MapCombiner::Algorithm::kRing);
+    const auto tree = combine_counts(comm, local, MapCombiner::Algorithm::kTree);
+    EXPECT_EQ(ring, expected);
+    EXPECT_EQ(ring, tree);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, RingRanks,
+    ::testing::Combine(::testing::Values(1, 2, 3, 5, 8),
+                       // Key counts that do and do not divide by the rank count.
+                       ::testing::Values(std::size_t{1}, std::size_t{7}, std::size_t{256},
+                                         std::size_t{1000})));
+
+TEST(RingAllreduce, BalancesPerRankTrafficBetterThanTree) {
+  // Total bytes are comparable; the ring's advantage is that no rank is a
+  // hot spot (the tree's root ships the full map to log2(n) children).
+  const std::vector<std::size_t> weights(1u << 13, 1);
+  auto max_rank_bytes = [&](MapCombiner::Algorithm algo) {
+    const auto stats = simmpi::launch(8, [&](simmpi::Communicator& comm) {
+      (void)combine_counts(comm, weights, algo);
+    });
+    std::size_t peak = 0;
+    for (std::size_t b : stats.rank_bytes_sent) peak = std::max(peak, b);
+    return peak;
+  };
+  EXPECT_LT(max_rank_bytes(MapCombiner::Algorithm::kRing),
+            max_rank_bytes(MapCombiner::Algorithm::kTree));
+}
 
 TEST(RingAllreduce, VectorShorterThanRankCount) {
-  // 6 ranks over 2 elements: most segments are empty; the sums must still
-  // be exact on every rank.
+  // 6 ranks over 2 keys: most segments are empty; the sums must still be
+  // exact on every rank.
   simmpi::launch(6, [&](simmpi::Communicator& comm) {
-    const std::vector<double> local = {1.0, static_cast<double>(comm.rank())};
-    const auto sum = comm.allreduce_sum_ring(local);
-    ASSERT_EQ(sum.size(), 2u);
-    EXPECT_DOUBLE_EQ(sum[0], 6.0);
-    EXPECT_DOUBLE_EQ(sum[1], 0.0 + 1 + 2 + 3 + 4 + 5);
+    const auto sum = combine_counts(comm, {1, static_cast<std::size_t>(comm.rank())},
+                                    MapCombiner::Algorithm::kRing);
+    EXPECT_EQ(sum, (std::vector<std::size_t>{6, 0 + 1 + 2 + 3 + 4 + 5}));
   });
 }
 
 TEST(RingAllreduce, EmptyVector) {
   simmpi::launch(4, [&](simmpi::Communicator& comm) {
-    const auto sum = comm.allreduce_sum_ring(std::vector<int>{});
-    EXPECT_TRUE(sum.empty());
+    EXPECT_TRUE(combine_counts(comm, {}, MapCombiner::Algorithm::kRing).empty());
   });
 }
 
 TEST(RingAllreduce, SingleElementManyRanks) {
   simmpi::launch(5, [&](simmpi::Communicator& comm) {
-    const auto sum = comm.allreduce_sum_ring(std::vector<long>{1});
-    ASSERT_EQ(sum.size(), 1u);
-    EXPECT_EQ(sum[0], 5);
+    const auto sum = combine_counts(comm, {1}, MapCombiner::Algorithm::kRing);
+    EXPECT_EQ(sum, std::vector<std::size_t>{5});
   });
 }
 
