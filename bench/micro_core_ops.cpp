@@ -7,6 +7,8 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analytics/batch_kernels.h"
@@ -698,9 +700,243 @@ BENCHMARK_CAPTURE(BM_NearestCentroidsHinted, smooth, "smooth");
 BENCHMARK_CAPTURE(BM_NearestCentroidsPairPacked, smooth, "smooth");
 BENCHMARK_CAPTURE(BM_NearestCentroidsLanes, smooth, "smooth");
 
+// --- the batched path's run loop: one call per run vs one call per batch ----
+//
+// The before/after pair for the one-call batch (DESIGN.md §4.8).  Both
+// sides fold the same precomputed keys into the same worker map, 64 chunks
+// per batch, single-threaded, so the pair measures the run loop alone:
+//
+//   * before: the scheduler's per-run loop as it stood when
+//     accumulate_batch took one run, copied here (legacy::RunLoop) — per
+//     run a last-key-cached locate, two set_key stores and two virtual
+//     calls (the run's accumulate and trigger());
+//   * after: one virtual accumulate_batch per batch, whose override walks
+//     the runs through WorkerSlots::for_each_run.
+//
+// Two inputs: the hot quarter of the Heat3D slab as 4-d k-means points
+// (the worker that set iter_kmeans' critical path: ~1 key run per 3.4
+// points), and a Gaussian stream into 1200 histogram buckets, where almost
+// every element is its own run (combine_keys' reduce).
+
+namespace legacy {
+
+/// The replaced per-run virtual: accumulates one run of equal keys and
+/// returns the chunks consumed (objects that never trigger consume all).
+class RunAccumulator {
+ public:
+  virtual ~RunAccumulator() = default;
+  virtual std::size_t accumulate_run(const ChunkBatch& run, const double* data,
+                                     std::unique_ptr<RedObj>& red_obj,
+                                     bool stop_after_trigger) = 0;
+};
+
+class KMeansRuns final : public RunAccumulator {
+ public:
+  explicit KMeansRuns(std::size_t dims) : dims_(dims) {}
+  std::size_t accumulate_run(const ChunkBatch& run, const double* data,
+                             std::unique_ptr<RedObj>& red_obj, bool) override {
+    auto& cluster = static_cast<ClusterObj&>(*red_obj);
+    kernels::accumulate_points(data + run.start, run.count, dims_, cluster.sum.data());
+    cluster.size += run.count;
+    return run.count;
+  }
+
+ private:
+  std::size_t dims_;
+};
+
+class HistogramRuns final : public RunAccumulator {
+ public:
+  std::size_t accumulate_run(const ChunkBatch& run, const double*,
+                             std::unique_ptr<RedObj>& red_obj, bool) override {
+    if (!red_obj) red_obj = std::make_unique<Bucket>();
+    static_cast<Bucket&>(*red_obj).count += run.count;
+    return run.count;
+  }
+};
+
+/// The scheduler's per-run loop over one batch's keys, as it stood before
+/// the one-call batch (trigger honoured, as with RunOptions' default).
+class RunLoop {
+ public:
+  explicit RunLoop(CombinationMap& map) : map_(map) {}
+
+  void run_batch(RunAccumulator& app, const ChunkBatch& batch, const double* data,
+                 const int* keys) {
+    std::size_t i = 0;
+    const std::size_t n = batch.count;
+    while (i < n) {
+      const int key = keys[i];
+      std::size_t run_end = i + 1;
+      while (run_end < n && keys[run_end] == key) ++run_end;
+      while (i < run_end) {
+        detail::t_current_key = key;
+        auto& slot = locate(key);
+        if (slot) slot->set_key(key);
+        const std::size_t consumed =
+            app.accumulate_run(batch.sub(i, run_end - i), data, slot, /*stop=*/true);
+        if (!slot) throw std::logic_error("accumulate_run left a null reduction object");
+        slot->set_key(key);
+        if (slot->trigger()) {
+          map_.erase(key);
+          cached_slot_ = CombinationMap::npos;
+        }
+        i += consumed == 0 ? 1 : consumed;
+      }
+    }
+  }
+
+ private:
+  std::unique_ptr<RedObj>& locate(int key) {
+    if (cached_slot_ == CombinationMap::npos || cached_key_ != key) {
+      cached_slot_ = map_.slot_index(key);
+      cached_key_ = key;
+    }
+    return map_.slot_at(cached_slot_);
+  }
+
+  CombinationMap& map_;
+  int cached_key_ = 0;
+  std::size_t cached_slot_ = CombinationMap::npos;
+};
+
+}  // namespace legacy
+
+/// Exposes the apps' protected accumulate_batch to the bench.
+class KMeansBatch : public KMeans<double> {
+ public:
+  using KMeans<double>::KMeans;
+  void batch(const ChunkBatch& b, const double* data, const int* keys, WorkerSlots& slots) {
+    accumulate_batch(b, data, keys, slots);
+  }
+};
+
+class HistogramBatch : public Histogram<double> {
+ public:
+  using Histogram<double>::Histogram;
+  void batch(const ChunkBatch& b, const double* data, const int* keys, WorkerSlots& slots) {
+    accumulate_batch(b, data, keys, slots);
+  }
+};
+
+struct RunLoopInput {
+  std::vector<double> data;  ///< chunk_size doubles per chunk
+  std::size_t chunk_size = 1;
+  std::vector<int> keys;     ///< one per chunk
+};
+
+/// The quarter of the Heat3D slab (a 4-worker contiguous split) with the
+/// most key runs, keyed by the converged centroids.
+RunLoopInput heat_hot_quarter() {
+  const AssignInput in = heat_assign_input();
+  const std::size_t points = in.points.size() / kAssignDims;
+  std::vector<int> keys(points);
+  kernels::nearest_centroids(in.points.data(), points, kAssignDims, in.centroids.data(),
+                             kAssignK, keys.data());
+  const std::size_t quarter = points / 4;
+  std::size_t best = 0, best_runs = 0;
+  for (std::size_t q = 0; q < 4; ++q) {
+    std::size_t runs = 1;
+    for (std::size_t p = q * quarter + 1; p < (q + 1) * quarter; ++p) {
+      runs += keys[p] != keys[p - 1] ? 1 : 0;
+    }
+    if (runs > best_runs) {
+      best_runs = runs;
+      best = q;
+    }
+  }
+  RunLoopInput out;
+  out.chunk_size = kAssignDims;
+  out.data.assign(in.points.begin() + static_cast<std::ptrdiff_t>(best * quarter * kAssignDims),
+                  in.points.begin() +
+                      static_cast<std::ptrdiff_t>((best + 1) * quarter * kAssignDims));
+  out.keys.assign(keys.begin() + static_cast<std::ptrdiff_t>(best * quarter),
+                  keys.begin() + static_cast<std::ptrdiff_t>((best + 1) * quarter));
+  return out;
+}
+
+constexpr int kRunLoopBuckets = 1200;
+
+RunLoopInput gaussian_stream() {
+  RunLoopInput out;
+  out.data = bench_data(4096);
+  out.keys.resize(out.data.size());
+  kernels::histogram_keys(out.data.data(), out.data.size(), 1, -5.0, 10.0 / kRunLoopBuckets,
+                          kRunLoopBuckets, out.keys.data());
+  return out;
+}
+
+/// Walks the input in 64-chunk batches through `fold(batch, keys)`.
+template <class Fold>
+void run_loop_bench(benchmark::State& state, const RunLoopInput& in, Fold fold) {
+  constexpr std::size_t kBatch = 64;
+  const std::size_t chunks = in.keys.size();
+  for (auto _ : state) {
+    for (std::size_t c = 0; c < chunks; c += kBatch) {
+      const ChunkBatch batch{c * in.chunk_size, in.chunk_size, std::min(kBatch, chunks - c)};
+      fold(batch, in.keys.data() + c);
+    }
+  }
+  std::size_t runs = 1;
+  for (std::size_t c = 1; c < chunks; ++c) runs += in.keys[c] != in.keys[c - 1] ? 1 : 0;
+  state.counters["key_runs"] = static_cast<double>(runs);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(chunks));
+}
+
+/// k-means worker map seeded like an iteration's hand-back: k objects.
+void seed_clusters(CombinationMap& map) {
+  for (std::size_t c = 0; c < kAssignK; ++c) {
+    auto obj = std::make_unique<ClusterObj>();
+    obj->centroid.assign(kAssignDims, 0.0);
+    obj->sum.assign(kAssignDims, 0.0);
+    map.emplace(static_cast<int>(c), std::move(obj));
+  }
+}
+
+void BM_RunLoopPerRun(benchmark::State& state, const char* input) {
+  const bool heat = std::string(input) == "heat";
+  const RunLoopInput in = heat ? heat_hot_quarter() : gaussian_stream();
+  CombinationMap map;
+  if (heat) seed_clusters(map);
+  legacy::RunLoop loop(map);
+  legacy::KMeansRuns kmeans(kAssignDims);
+  legacy::HistogramRuns histogram;
+  legacy::RunAccumulator& app = heat ? static_cast<legacy::RunAccumulator&>(kmeans) : histogram;
+  run_loop_bench(state, in, [&](const ChunkBatch& batch, const int* keys) {
+    loop.run_batch(app, batch, in.data.data(), keys);
+  });
+  benchmark::DoNotOptimize(map);
+}
+
+void BM_RunLoopPerBatch(benchmark::State& state, const char* input) {
+  const bool heat = std::string(input) == "heat";
+  const RunLoopInput in = heat ? heat_hot_quarter() : gaussian_stream();
+  CombinationMap map;
+  if (heat) seed_clusters(map);
+  WorkerSlots slots(map);
+  std::vector<double> init(kAssignK * kAssignDims, 0.0);
+  KMeansInit seed{init.data(), kAssignK, kAssignDims};
+  KMeansBatch kmeans(SchedArgs(1, kAssignDims, &seed), kAssignK, kAssignDims);
+  HistogramBatch histogram(SchedArgs(1, 1), -5.0, 5.0, kRunLoopBuckets);
+  run_loop_bench(state, in, [&](const ChunkBatch& batch, const int* keys) {
+    if (heat) {
+      kmeans.batch(batch, in.data.data(), keys, slots);
+    } else {
+      histogram.batch(batch, in.data.data(), keys, slots);
+    }
+  });
+  benchmark::DoNotOptimize(map);
+}
+BENCHMARK_CAPTURE(BM_RunLoopPerRun, heat, "heat");
+BENCHMARK_CAPTURE(BM_RunLoopPerBatch, heat, "heat");
+BENCHMARK_CAPTURE(BM_RunLoopPerRun, gauss, "gauss");
+BENCHMARK_CAPTURE(BM_RunLoopPerBatch, gauss, "gauss");
+
 /// The assignment kernel leg the Lanes benches ran on this CPU.
 const char* assign_isa() {
 #if defined(__x86_64__) || defined(__i386__)
+  if (kernels::detail::cpu_has_avx512f()) return "avx512f (8 points per vector)";
   if (kernels::detail::cpu_has_avx2()) return "avx2 (4 points per vector)";
 #endif
   return "sse2 (2 points per vector)";

@@ -20,7 +20,11 @@
 #     assignment kernel against the two kernels it replaced (the hinted
 #     early-exit scan and the pair-packed constant-cost kernel), on a
 #     Heat3D field and a cluster stream; the file's context records the
-#     leg the CPU ran as "assign_isa".
+#     leg the CPU ran as "assign_isa";
+#   * BM_RunLoopPerBatch vs BM_RunLoopPerRun — the batched path's run loop
+#     as one accumulate_batch call per batch against the per-run loop it
+#     replaced, on the Heat3D hot quarter (k-means) and a Gaussian
+#     histogram stream (a run per element).
 #
 # The transport suite (bench/micro_transport.cpp) covers the simmpi data
 # plane and its before/after pairs:
@@ -58,7 +62,7 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 out="${1:-$repo/BENCH_core.json}"
 transport_out="$(dirname "$out")/BENCH_transport.json"
 
-filter='BM_ReductionMapAccumulate|BM_LegacyStdMapAccumulate|BM_CombinationMapInsert|BM_LegacyStdMapInsert|BM_MapCodec|BM_LocalCombine|BM_MapSerializeRoundTrip|BM_MapCombineAlgorithms|BM_ScalarAccumulate|BM_BatchedAccumulate|BM_HistogramKeys|BM_NearestCentroids'
+filter='BM_ReductionMapAccumulate|BM_LegacyStdMapAccumulate|BM_CombinationMapInsert|BM_LegacyStdMapInsert|BM_MapCodec|BM_LocalCombine|BM_MapSerializeRoundTrip|BM_MapCombineAlgorithms|BM_ScalarAccumulate|BM_BatchedAccumulate|BM_HistogramKeys|BM_NearestCentroids|BM_RunLoop'
 
 echo "== bench: build (Release) =="
 cmake -B "$repo/build" -S "$repo" -DCMAKE_BUILD_TYPE=Release >/dev/null

@@ -64,9 +64,10 @@ def _accumulate_pair(app, chunks):
 
 # Names as emitted by bench/micro_core_ops.cpp: the flat CombinationMap vs
 # the std::map it replaced, the scalar-vs-batched reduction pairs over the
-# columnar ChunkBatch path (gen_keys_batch/accumulate_batch kernels), and
-# the two replaced k-means assignment kernels (the hinted early-exit scan
-# and the pair-packed constant-cost kernel) vs the points-in-lanes kernel.
+# columnar ChunkBatch path (gen_keys_batch/accumulate_batch kernels), the
+# two replaced k-means assignment kernels (the hinted early-exit scan and
+# the pair-packed constant-cost kernel) vs the points-in-lanes kernel, and
+# the per-run loop vs one accumulate_batch call per batch.
 CORE_PAIRS = [
     ("BM_LegacyStdMapAccumulate/100", "BM_ReductionMapAccumulate/100"),
     ("BM_LegacyStdMapAccumulate/10000", "BM_ReductionMapAccumulate/10000"),
@@ -82,6 +83,8 @@ CORE_PAIRS = [
     ("BM_NearestCentroidsHinted/smooth", "BM_NearestCentroidsLanes/smooth"),
     ("BM_NearestCentroidsPairPacked/heat", "BM_NearestCentroidsLanes/heat"),
     ("BM_NearestCentroidsPairPacked/smooth", "BM_NearestCentroidsLanes/smooth"),
+    ("BM_RunLoopPerRun/heat", "BM_RunLoopPerBatch/heat"),
+    ("BM_RunLoopPerRun/gauss", "BM_RunLoopPerBatch/gauss"),
 ]
 
 def _makespan_pair(topo):

@@ -185,8 +185,9 @@ else
 fi
 
 # Same ratio-of-ratios gate over the core pairs: the flat CombinationMap vs
-# std::map, and the scalar-vs-batched reduction pairs (columnar ChunkBatch
-# kernels) that must not quietly lose their speedup.  Slack is 1.4 here
+# std::map, the scalar-vs-batched reduction pairs (columnar ChunkBatch
+# kernels) and the per-run vs per-batch run loop, which must not quietly
+# lose their speedup.  Slack is 1.4 here
 # (vs the transport gate's default 1.25): the accumulate pairs drive the
 # whole scheduler — pool dispatch, map distribution, merge — so their
 # run-to-run ratio spread on a shared 1-CPU container is wider than the
@@ -196,7 +197,7 @@ fi
 if [[ -f "$repo/BENCH_core.json" ]]; then
   bench_core_gate_json="$repo/build/check_bench_core_gate.json"
   "$repo/build/bench/micro_core_ops" \
-    --benchmark_filter='StdMapAccumulate|ReductionMapAccumulate|MapInsert|ScalarAccumulate|BatchedAccumulate|HistogramKeys|NearestCentroids' \
+    --benchmark_filter='StdMapAccumulate|ReductionMapAccumulate|MapInsert|ScalarAccumulate|BatchedAccumulate|HistogramKeys|NearestCentroids|RunLoop' \
     --benchmark_min_time=0.05 --benchmark_repetitions=5 \
     --benchmark_out="$bench_core_gate_json" --benchmark_out_format=json >/dev/null
   python3 "$repo/scripts/bench_gate.py" --pairs core "$repo/BENCH_core.json" \
@@ -240,10 +241,13 @@ grep -q "vectorized" "$vec_log" \
        cat "$vec_log" >&2; exit 1; }
 # The k-means assignment kernel uses GCC vector types, which the
 # vectorizer never reports on: check each width's disassembly for packed
-# subtract and multiply instead.  The AVX2 leg must do both on %ymm
-# registers (a dropped target attribute compiles it to SSE2 pairs), and
-# must contain no FMA: a contracted multiply-add rounds once where the
-# SSE2 leg and the scalar scan round twice, breaking bit-identity.
+# subtract and multiply instead.  The AVX2 and AVX-512 legs must do both on
+# %ymm and %zmm registers (a dropped target attribute compiles them to SSE2
+# pairs), and must contain no FMA: a contracted multiply-add rounds once
+# where the SSE2 leg and the scalar scan round twice, breaking
+# bit-identity.  The probe is compiled without -ffp-contract=off, and
+# AVX-512F implies FMA, so the AVX-512 leg passes only if it carries its
+# own contraction guard.
 vec_asm="$repo/build/check_vec_probe.asm"
 objdump -d --no-show-raw-insn -C "$repo/build/check_vec_probe.o" > "$vec_asm"
 kernel_body() {
@@ -255,17 +259,20 @@ for width in 2 3 4 8; do
     grep -Eq "[[:space:]]v?${insn}[[:space:]]" <<< "$body" \
       || { echo "nearest_centroids width ${width} no longer emits ${insn}" >&2; exit 1; }
   done
-  body="$(kernel_body "nearest_centroids_avx2<double, ${width}ul>")"
-  for insn in vsubpd vmulpd; do
-    grep -Eq "[[:space:]]${insn}[[:space:]].*%ymm" <<< "$body" \
-      || { echo "nearest_centroids AVX2 leg width ${width} emits no ${insn} on %ymm" >&2; exit 1; }
+  for leg in "avx2 AVX2 ymm" "avx512 AVX-512 zmm"; do
+    read -r sym name reg <<< "$leg"
+    body="$(kernel_body "nearest_centroids_${sym}<double, ${width}ul>")"
+    for insn in vsubpd vmulpd; do
+      grep -Eq "[[:space:]]${insn}[[:space:]].*%${reg}" <<< "$body" \
+        || { echo "nearest_centroids ${name} leg width ${width} emits no ${insn} on %${reg}" >&2; exit 1; }
+    done
+    if grep -Eq "[[:space:]]v(fmadd|fmsub|fnmadd)" <<< "$body"; then
+      echo "nearest_centroids ${name} leg width ${width} contracts to FMA" >&2; exit 1
+    fi
   done
-  if grep -Eq "[[:space:]]v(fmadd|fmsub|fnmadd)" <<< "$body"; then
-    echo "nearest_centroids AVX2 leg width ${width} contracts to FMA" >&2; exit 1
-  fi
 done
 echo "   vec probe ok: $(grep -c 'vectorized' "$vec_log") vectorized loop report(s)," \
-  "packed k-means kernel (SSE2 and AVX2 legs) at widths 2/3/4/8"
+  "packed k-means kernel (SSE2, AVX2 and AVX-512 legs) at widths 2/3/4/8"
 
 echo "== native: build + test with SMART_NATIVE=ON =="
 # One pass of the batched-kernel exactness properties and a bench smoke with

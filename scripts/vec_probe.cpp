@@ -7,9 +7,11 @@
 //     bucketing loops instantiated here (auto-vectorized code);
 //   * every fixed-width nearest-centroid kernel instantiated here still
 //     emits packed-double arithmetic (subpd and mulpd in its disassembly),
-//     and its AVX2 leg does so on 256-bit registers (vsubpd and vmulpd on
-//     %ymm) with no fused multiply-add, which would round differently from
-//     the SSE2 leg and the scalar scan.  That kernel is written with GCC
+//     and its AVX2 and AVX-512 legs do so on 256-bit and 512-bit registers
+//     (vsubpd and vmulpd on %ymm and %zmm) with no fused multiply-add,
+//     which would round differently from the SSE2 leg and the scalar scan.
+//     The command line below passes no -ffp-contract=off, so the probe
+//     also proves that each leg carries its own contraction guard.  That kernel is written with GCC
 //     vector types, which the compiler lowers straight to SIMD instructions
 //     without the auto-vectorizer, so -fopt-info-vec has nothing to report
 //     for it; the disassembly does.
@@ -33,7 +35,7 @@ template void histogram_keys<float>(const float*, std::size_t, std::size_t, doub
 
 // The k-means assignment kernel at every width nearest_centroids<double>
 // dispatches to a fixed-dims specialization: the dispatching entry, whose
-// body holds the inlined SSE2 leg, and the AVX2 leg.
+// body holds the inlined SSE2 leg, the AVX2 leg and the AVX-512 leg.
 template void detail::nearest_centroids_fixed<double, 2>(const double*, std::size_t,
                                                          const double*, std::size_t, int*);
 template void detail::nearest_centroids_fixed<double, 3>(const double*, std::size_t,
@@ -50,5 +52,13 @@ template void detail::nearest_centroids_avx2<double, 4>(const double*, std::size
                                                         const double*, std::size_t, int*);
 template void detail::nearest_centroids_avx2<double, 8>(const double*, std::size_t,
                                                         const double*, std::size_t, int*);
+template void detail::nearest_centroids_avx512<double, 2>(const double*, std::size_t,
+                                                          const double*, std::size_t, int*);
+template void detail::nearest_centroids_avx512<double, 3>(const double*, std::size_t,
+                                                          const double*, std::size_t, int*);
+template void detail::nearest_centroids_avx512<double, 4>(const double*, std::size_t,
+                                                          const double*, std::size_t, int*);
+template void detail::nearest_centroids_avx512<double, 8>(const double*, std::size_t,
+                                                          const double*, std::size_t, int*);
 
 }  // namespace smart::analytics::kernels

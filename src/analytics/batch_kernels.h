@@ -1,13 +1,20 @@
 // Auto-vectorizable inner loops for the batched reduction kernels
 // (DESIGN.md §4.8).  These are the free-function hearts of the numeric
-// apps' gen_keys_batch / accumulate_batch overrides, factored out so
+// apps' gen_keys_batch / accumulate_batch overrides (the latter run once
+// per key run, inside WorkerSlots::for_each_run), factored out so
 //
 //   * the scalar per-chunk virtuals call the same code with n = 1 — the
 //     batched and scalar paths literally cannot diverge, which is what the
 //     bit-for-bit exactness property tests pin down; and
 //   * a standalone TU (scripts/vec_probe.cpp) can compile just these loops
 //     with -fopt-info-vec and assert that the compiler actually vectorizes
-//     them (check.sh's SMART_NATIVE pass).
+//     them, and that the k-means assignment kernel's SSE2, AVX2 and
+//     AVX-512 legs emit packed arithmetic and no fused multiply-add.
+//
+// The assignment kernel picks its widest leg at run time by CPUID; the
+// AVX2 and AVX-512 legs carry their own FMA-contraction guard, so they
+// round exactly like the scalar scan whatever flags the including
+// translation unit was built with.
 //
 // Exactness contract: every kernel preserves the scalar accumulation order.
 // SIMD lanes come only from *independent* streams — per-element bucket
@@ -83,9 +90,10 @@ inline int nearest_centroid_fixed(const T* pt, const double* centroids, std::siz
 }
 
 /// GCC/Clang vector types: two doubles per SSE2 register, four per AVX2
-/// register.
+/// register, eight per AVX-512 register.
 using v2d = double __attribute__((vector_size(16)));
 using v4d = double __attribute__((vector_size(32)));
+using v8d = double __attribute__((vector_size(64)));
 
 /// Batched assignment with points in lanes: each lane of V holds one
 /// point, and each centroid's coordinates are broadcast against all lanes.
@@ -102,9 +110,9 @@ using v4d = double __attribute__((vector_size(32)));
 /// data dependence turns into worker skew (DESIGN.md §4.8).  Tails shorter
 /// than a vector take the scalar scan.
 ///
-/// always_inline: the AVX2 leg gets its width only by inlining this body
-/// into its target("avx2") function; an out-of-line copy would be compiled
-/// for the baseline target.
+/// always_inline: the AVX2 and AVX-512 legs get their width only by
+/// inlining this body into their target() functions; an out-of-line copy
+/// would be compiled for the baseline target.
 template <class V, class T, std::size_t Dims>
 __attribute__((always_inline)) inline void nearest_centroids_lanes(const T* pts, std::size_t n,
                                                                     const double* centroids,
@@ -146,18 +154,27 @@ __attribute__((always_inline)) inline void nearest_centroids_lanes(const T* pts,
 }
 
 #if defined(__x86_64__) || defined(__i386__)
-/// The same body at AVX2 width, compiled for AVX2 whatever the build's
-/// baseline; call it only where cpu_has_avx2() holds.  The target adds no
-/// FMA, so no multiply-add can contract and both legs round every term
-/// exactly as the scalar scan does.
+/// The same body at AVX2 and AVX-512 width, compiled for that ISA whatever
+/// the build's baseline; call a leg only where its cpu_has_*() holds.
+/// Neither may contract `dist += diff * diff` into a fused multiply-add,
+/// which rounds once where the SSE2 leg and the scalar scan round twice:
+/// the target("avx2") leg enables no FMA, but AVX-512F implies it, and a
+/// target() attribute adds to a -march=native baseline rather than
+/// replacing it.  So each leg carries optimize("fp-contract=off") itself,
+/// whatever flags the including translation unit was built with.
 template <class T, std::size_t Dims>
-__attribute__((target("avx2"))) void nearest_centroids_avx2(const T* pts, std::size_t n,
-                                                            const double* centroids,
-                                                            std::size_t k, int* keys) {
+__attribute__((target("avx2"), optimize("fp-contract=off"))) void nearest_centroids_avx2(
+    const T* pts, std::size_t n, const double* centroids, std::size_t k, int* keys) {
   nearest_centroids_lanes<v4d, T, Dims>(pts, n, centroids, k, keys);
 }
 
-/// Whether this CPU runs AVX2, asked once per process.
+template <class T, std::size_t Dims>
+__attribute__((target("avx512f"), optimize("fp-contract=off"))) void nearest_centroids_avx512(
+    const T* pts, std::size_t n, const double* centroids, std::size_t k, int* keys) {
+  nearest_centroids_lanes<v8d, T, Dims>(pts, n, centroids, k, keys);
+}
+
+/// Whether this CPU runs AVX2 / AVX-512F, asked once per process.
 inline bool cpu_has_avx2() {
   static const bool yes = [] {
     __builtin_cpu_init();
@@ -165,16 +182,27 @@ inline bool cpu_has_avx2() {
   }();
   return yes;
 }
+inline bool cpu_has_avx512f() {
+  static const bool yes = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") != 0;
+  }();
+  return yes;
+}
 #endif
 
-/// The fixed-width assignment entry: the widest leg this CPU runs, for
-/// batches of at least one AVX2 vector.  Shorter batches (the n = 1
+/// The fixed-width assignment entry: the widest leg this CPU runs that
+/// the batch fills at least one vector of.  Shorter batches (the n = 1
 /// gen_key path among them) stay inline on the SSE2 leg rather than pay
-/// a call into the AVX2 function.
+/// a call into a wider leg.
 template <class T, std::size_t Dims>
 inline void nearest_centroids_fixed(const T* pts, std::size_t n, const double* centroids,
                                     std::size_t k, int* keys) {
 #if defined(__x86_64__) || defined(__i386__)
+  if (n >= sizeof(v8d) / sizeof(double) && cpu_has_avx512f()) {
+    nearest_centroids_avx512<T, Dims>(pts, n, centroids, k, keys);
+    return;
+  }
   if (n >= sizeof(v4d) / sizeof(double) && cpu_has_avx2()) {
     nearest_centroids_avx2<T, Dims>(pts, n, centroids, k, keys);
     return;

@@ -76,16 +76,16 @@ class BlockAggregation : public Scheduler<In, double> {
     grid.count += 1;
   }
 
-  std::size_t accumulate_batch(const ChunkBatch& batch, const In* data,
-                               std::unique_ptr<RedObj>& red_obj,
-                               bool /*stop_after_trigger*/) override {
-    // GridObj never triggers; chunk_size is 1 so the same-block run is a
+  void accumulate_batch(const ChunkBatch& batch, const In* data, const int* keys,
+                        WorkerSlots& slots) override {
+    // GridObj never triggers; chunk_size is 1 so each same-block run is a
     // contiguous value span, summed in scalar chain order (bit-exact).
-    if (!red_obj) red_obj = std::make_unique<GridObj>();
-    auto& grid = static_cast<GridObj&>(*red_obj);
-    grid.sum = kernels::accumulate_sum(data + batch.start, batch.count, grid.sum);
-    grid.count += batch.count;
-    return batch.count;
+    slots.for_each_run(batch, keys, [&](std::unique_ptr<RedObj>& red_obj, const ChunkBatch& run) {
+      if (!red_obj) red_obj = std::make_unique<GridObj>();
+      auto& grid = static_cast<GridObj&>(*red_obj);
+      grid.sum = kernels::accumulate_sum(data + run.start, run.count, grid.sum);
+      grid.count += run.count;
+    });
   }
 
   void merge(const RedObj& red_obj, std::unique_ptr<RedObj>& com_obj) override {

@@ -47,16 +47,16 @@ class GridAggregation : public Scheduler<In, double> {
     grid.count += chunk.length;
   }
 
-  std::size_t accumulate_batch(const ChunkBatch& batch, const In* data,
-                               std::unique_ptr<RedObj>& red_obj,
-                               bool /*stop_after_trigger*/) override {
-    // GridObj never triggers; batches hold full chunks, so the run is one
+  void accumulate_batch(const ChunkBatch& batch, const In* data, const int* keys,
+                        WorkerSlots& slots) override {
+    // GridObj never triggers; batches hold full chunks, so each run is one
     // contiguous element span summed in scalar chain order (bit-exact).
-    if (!red_obj) red_obj = std::make_unique<GridObj>();
-    auto& grid = static_cast<GridObj&>(*red_obj);
-    grid.sum = kernels::accumulate_sum(data + batch.start, batch.elements(), grid.sum);
-    grid.count += batch.elements();
-    return batch.count;
+    slots.for_each_run(batch, keys, [&](std::unique_ptr<RedObj>& red_obj, const ChunkBatch& run) {
+      if (!red_obj) red_obj = std::make_unique<GridObj>();
+      auto& grid = static_cast<GridObj&>(*red_obj);
+      grid.sum = kernels::accumulate_sum(data + run.start, run.elements(), grid.sum);
+      grid.count += run.elements();
+    });
   }
 
   void merge(const RedObj& red_obj, std::unique_ptr<RedObj>& com_obj) override {

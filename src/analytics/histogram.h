@@ -50,14 +50,14 @@ class Histogram : public Scheduler<In, std::size_t> {
     static_cast<Bucket&>(*red_obj).count += chunk.length > 0 ? 1 : 0;
   }
 
-  std::size_t accumulate_batch(const ChunkBatch& batch, const In* /*data*/,
-                               std::unique_ptr<RedObj>& red_obj,
-                               bool /*stop_after_trigger*/) override {
+  void accumulate_batch(const ChunkBatch& batch, const In* /*data*/, const int* keys,
+                        WorkerSlots& slots) override {
     // Batches hold full chunks only, so every chunk counts; Bucket never
-    // triggers, so the whole run lands in one add.
-    if (!red_obj) red_obj = std::make_unique<Bucket>();
-    static_cast<Bucket&>(*red_obj).count += batch.count;
-    return batch.count;
+    // triggers, so each run of equal keys lands in one add.
+    slots.for_each_run(batch, keys, [](std::unique_ptr<RedObj>& red_obj, const ChunkBatch& run) {
+      if (!red_obj) red_obj = std::make_unique<Bucket>();
+      static_cast<Bucket&>(*red_obj).count += run.count;
+    });
   }
 
   void merge(const RedObj& red_obj, std::unique_ptr<RedObj>& com_obj) override {

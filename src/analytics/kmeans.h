@@ -103,15 +103,15 @@ class KMeans : public Scheduler<T, T*> {
     cluster.size += 1;
   }
 
-  std::size_t accumulate_batch(const ChunkBatch& batch, const T* data,
-                               std::unique_ptr<RedObj>& red_obj,
-                               bool /*stop_after_trigger*/) override {
-    // ClusterObj never triggers; a whole same-centroid run of points folds
-    // into the sums in one call (point-major order — bit-exact per dim).
-    auto& cluster = static_cast<ClusterObj&>(*red_obj);
-    kernels::accumulate_points(data + batch.start, batch.count, dims_, cluster.sum.data());
-    cluster.size += batch.count;
-    return batch.count;
+  void accumulate_batch(const ChunkBatch& batch, const T* data, const int* keys,
+                        WorkerSlots& slots) override {
+    // ClusterObj never triggers; each same-centroid run of points folds
+    // into the sums in one step (point-major order — bit-exact per dim).
+    slots.for_each_run(batch, keys, [&](std::unique_ptr<RedObj>& red_obj, const ChunkBatch& run) {
+      auto& cluster = static_cast<ClusterObj&>(*red_obj);
+      kernels::accumulate_points(data + run.start, run.count, dims_, cluster.sum.data());
+      cluster.size += run.count;
+    });
   }
 
   void merge(const RedObj& red_obj, std::unique_ptr<RedObj>& com_obj) override {

@@ -105,17 +105,18 @@ class SummaryStats : public Scheduler<In, double> {
     if (x > s.max) s.max = x;
   }
 
-  std::size_t accumulate_batch(const ChunkBatch& batch, const In* data,
-                               std::unique_ptr<RedObj>& red_obj,
-                               bool /*stop_after_trigger*/) override {
-    // StatsObj never triggers; chunk_size is 1 so the batch is a contiguous
-    // value run.  The moments kernel keeps the sum/sum_sq chains in scalar
-    // order (bit-exact) while min/max and the squares vectorize.
-    if (!red_obj) red_obj = std::make_unique<StatsObj>();
-    auto& s = static_cast<StatsObj&>(*red_obj);
-    kernels::accumulate_moments(data + batch.start, batch.count, s.sum, s.sum_sq, s.min, s.max);
-    s.count += batch.count;
-    return batch.count;
+  void accumulate_batch(const ChunkBatch& batch, const In* data, const int* keys,
+                        WorkerSlots& slots) override {
+    // StatsObj never triggers and every key is 0, so the batch is one run
+    // over a contiguous value span (chunk_size is 1).  The moments kernel
+    // keeps the sum/sum_sq chains in scalar order (bit-exact) while
+    // min/max and the squares vectorize.
+    slots.for_each_run(batch, keys, [&](std::unique_ptr<RedObj>& red_obj, const ChunkBatch& run) {
+      if (!red_obj) red_obj = std::make_unique<StatsObj>();
+      auto& s = static_cast<StatsObj&>(*red_obj);
+      kernels::accumulate_moments(data + run.start, run.count, s.sum, s.sum_sq, s.min, s.max);
+      s.count += run.count;
+    });
   }
 
   void merge(const RedObj& red_obj, std::unique_ptr<RedObj>& com_obj) override {

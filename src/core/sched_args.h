@@ -83,14 +83,14 @@ struct RunOptions {
 
   /// Chunks per batch on the batched reduction path: the scheduler
   /// computes keys for up to this many consecutive full chunks at once
-  /// (gen_keys_batch), detects runs of equal keys, and accumulates each
-  /// run through one accumulate_batch call — hoisting the map lookup and
-  /// the virtual dispatch out of the per-chunk loop and letting the
-  /// numeric apps' kernels vectorize.  0 or 1 disables batching (the
-  /// legacy chunk-at-a-time path); the multi-key (run2) path always stays
-  /// chunk-at-a-time.  Results are bit-identical either way: default
-  /// batch implementations replay the scalar path, and the app kernels
-  /// preserve scalar accumulation order (see DESIGN.md §4.8).
+  /// (gen_keys_batch) and hands the whole batch to one accumulate_batch
+  /// call, whose app override folds each run of equal keys in one step
+  /// (WorkerSlots::for_each_run) — two virtual calls per batch instead of
+  /// two per chunk, and kernels the numeric apps can vectorize.  0 or 1
+  /// disables batching (the chunk-at-a-time path); the multi-key (run2)
+  /// path always stays chunk-at-a-time.  Results are bit-identical either
+  /// way: the default accumulate_batch replays the per-chunk path, and the
+  /// app kernels preserve scalar accumulation order (see DESIGN.md §4.8).
   std::size_t batch_chunks = 64;
 
   /// Merge worker reduction maps pairwise on the thread pool (a log2(T)

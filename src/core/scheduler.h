@@ -58,6 +58,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -103,6 +104,91 @@ struct SchedPhaseScope {
 };
 }  // namespace detail
 
+/// One worker's reduction map during a reduction phase, as handed to
+/// Scheduler::accumulate_batch.  It owns the run loop of the batched path:
+/// for_each_run splits a batch's keys into runs of consecutive equal keys
+/// and hands each run's slot to the caller's body, inlined into the app's
+/// override, so a batch costs one virtual call however many runs it holds.
+///
+/// Slot lookup caches dense slot indices, never pointers (appends never
+/// move an index; the entry storage may reallocate), and trusts a cached
+/// index only while the map still files the key there, so no cache needs
+/// a reset across phases, erases, sorts or an exception that unwound a
+/// phase.  for_each_run looks keys in [0, kSmallKeys) up in a
+/// direct-indexed table; other keys pay one hash probe.  locate(), the
+/// per-chunk path's lookup, keeps the last slot instead: consecutive
+/// chunks usually share a key, consecutive runs never do.
+class WorkerSlots {
+ public:
+  explicit WorkerSlots(CombinationMap& map) : map_(&map) {}
+
+  /// The slot for `key` (a null slot is inserted when absent).  The
+  /// returned reference is valid until the next insert or erase.
+  std::unique_ptr<RedObj>& locate(int key) {
+    if (!holds(last_slot_, key)) last_slot_ = map_->slot_index(key);
+    return map_->slot_at(last_slot_);
+  }
+
+  /// Drops `key`'s entry (early emission); counted in erased().
+  void erase(int key) {
+    map_->erase(key);
+    ++erased_;
+  }
+
+  /// Entries erase() dropped since this accessor was made.
+  std::size_t erased() const { return erased_; }
+
+  /// Calls body(slot, run) once per run of consecutive equal keys in
+  /// keys[0..batch.count), in batch order: `run` is the run's sub-batch
+  /// and `slot` its key's object (null on first touch; the body creates
+  /// it).  Before the body, current_key() names the run's key and an
+  /// existing object carries it; after, the object must exist and is
+  /// (re)stamped with the key.  Nothing here asks trigger(): only
+  /// overrides whose objects never trigger may use it.
+  template <class Body>
+  __attribute__((always_inline)) void for_each_run(const ChunkBatch& batch, const int* keys,
+                                                   Body&& body) {
+    std::size_t i = 0;
+    while (i < batch.count) {
+      const int key = keys[i];
+      std::size_t end = i + 1;
+      while (end < batch.count && keys[end] == key) ++end;
+      detail::t_current_key = key;
+      std::unique_ptr<RedObj>& slot = run_slot(key);
+      if (slot) slot->set_key(key);
+      body(slot, batch.sub(i, end - i));
+      if (!slot) {
+        throw std::logic_error("Scheduler: accumulate_batch left a null reduction object");
+      }
+      slot->set_key(key);
+      i = end;
+    }
+  }
+
+ private:
+  std::unique_ptr<RedObj>& run_slot(int key) {
+    const auto k = static_cast<std::size_t>(static_cast<unsigned>(key));
+    if (k >= kSmallKeys) return map_->slot_at(map_->slot_index(key));
+    if (k >= small_.size()) small_.resize(k + 1, kNoSlot);
+    std::uint32_t& idx = small_[k];
+    if (!holds(idx, key)) idx = static_cast<std::uint32_t>(map_->slot_index(key));
+    return map_->slot_at(idx);
+  }
+
+  /// Whether dense index `idx` (possibly stale or kNoSlot) files `key`.
+  bool holds(std::size_t idx, int key) const {
+    return idx < map_->size() && map_->key_at(idx) == key;
+  }
+
+  static constexpr std::size_t kSmallKeys = 4096;
+  static constexpr std::uint32_t kNoSlot = ~static_cast<std::uint32_t>(0);
+
+  CombinationMap* map_;
+  std::vector<std::uint32_t> small_;  ///< key -> dense index, validated on use
+  std::size_t last_slot_ = CombinationMap::npos;
+  std::size_t erased_ = 0;
+};
+
 template <class In, class Out>
 class Scheduler {
  public:
@@ -112,6 +198,8 @@ class Scheduler {
         pool_(std::make_unique<ThreadPool>(args.num_threads, opts.pin_threads)),
         reduction_maps_(static_cast<std::size_t>(args.num_threads)),
         feed_buffer_(std::make_unique<CircularBuffer<FeedCell>>(opts.buffer_cells)) {
+    worker_slots_.reserve(reduction_maps_.size());
+    for (auto& rmap : reduction_maps_) worker_slots_.emplace_back(rmap);
     if (args.chunk_size == 0) {
       throw std::invalid_argument("Scheduler: chunk_size must be positive");
     }
@@ -283,9 +371,8 @@ class Scheduler {
   // --- batch-granular API (the batched reduction path; DESIGN.md §4.8) ----
   // The scheduler walks full chunks in batches of RunOptions::batch_chunks:
   // keys for the whole batch first (gen_keys_batch), then one
-  // accumulate_batch call per *run* of consecutive equal keys, with the map
-  // lookup hoisted out of the loop.  The defaults below replay the
-  // per-chunk virtuals, so every app is batch-correct by construction;
+  // accumulate_batch call for the whole batch.  The defaults below replay
+  // the per-chunk virtuals, so every app is batch-correct by construction;
   // the numeric apps override them with vectorizable kernels
   // (analytics/batch_kernels.h).  Overrides must preserve the scalar
   // path's accumulation order bit-for-bit — lane-parallelism may come from
@@ -300,22 +387,17 @@ class Scheduler {
     }
   }
 
-  /// Accumulates a run of `batch.count` consecutive chunks that all map to
-  /// one key into `red_obj`; returns the number of chunks consumed (>= 1).
-  /// When `stop_after_trigger` is set, implementations whose reduction
-  /// object can trigger() must stop right after the chunk that makes
-  /// trigger() true and return the count consumed so far — the runtime
-  /// emits/erases the object and re-enters with the rest of the run.
-  /// Objects that never trigger (all the numeric kernels) may ignore the
-  /// flag and consume the whole batch.
-  virtual std::size_t accumulate_batch(const ChunkBatch& batch, const In* data,
-                                       std::unique_ptr<RedObj>& red_obj,
-                                       bool stop_after_trigger) {
+  /// Accumulates every chunk of `batch`, chunk i into the object filed
+  /// under keys[i] in this worker's map.  The default replays the
+  /// per-chunk path chunk by chunk — accumulate, then trigger() and early
+  /// emission — so it is exact for every app.  An override whose objects
+  /// never trigger walks the batch with slots.for_each_run and folds each
+  /// run of equal keys in one step.
+  virtual void accumulate_batch(const ChunkBatch& batch, const In* data, const int* keys,
+                                WorkerSlots& slots) {
     for (std::size_t i = 0; i < batch.count; ++i) {
-      accumulate(batch.chunk(i), data, red_obj);
-      if (stop_after_trigger && red_obj && red_obj->trigger()) return i + 1;
+      accumulate_chunk(batch.chunk(i), data, keys[i], slots);
     }
-    return batch.count;
   }
 
   virtual void merge(const RedObj& red_obj, std::unique_ptr<RedObj>& com_obj) = 0;
@@ -369,6 +451,25 @@ class Scheduler {
     return [this](const RedObj& red, std::unique_ptr<RedObj>& com) { merge(red, com); };
   }
 
+  /// The per-chunk path for one (chunk, key): accumulate into the key's
+  /// object, then Algorithm 2 lines 5-7 — a triggered object is converted
+  /// into the output right away and dropped from the map.  A later chunk
+  /// of the same key re-inserts it and starts a fresh object.
+  void accumulate_chunk(const Chunk& chunk, const In* data, int key, WorkerSlots& slots) {
+    detail::t_current_key = key;
+    auto& slot = slots.locate(key);
+    if (slot) slot->set_key(key);
+    accumulate(chunk, data, slot);
+    if (!slot) throw std::logic_error("Scheduler: accumulate left a null reduction object");
+    slot->set_key(key);
+    if (opts_.enable_trigger && slot->trigger()) {
+      if (out_ != nullptr && key >= 0 && static_cast<std::size_t>(key) < out_len_) {
+        convert(*slot, out_ + key);
+      }
+      slots.erase(key);
+    }
+  }
+
   /// Keeps the memory tracker's reduction-object account at the current
   /// live total across all maps.
   void sync_tracked_objects() {
@@ -409,6 +510,8 @@ class Scheduler {
     }
 
     total_len_ = in_len;
+    out_ = out;
+    out_len_ = out_len;
     const std::size_t num_chunks = in_len / args_.chunk_size;
     const std::size_t tail = in_len - num_chunks * args_.chunk_size;
     // Ragged tail: processed as a short final chunk (Chunk::length tells
@@ -430,7 +533,7 @@ class Scheduler {
       distribute_combination_map();
       {
         detail::SchedPhaseScope phase("reduction", opts_.phase_tracer, {{"iter", iter}});
-        reduction_phase(data, num_chunks, tail_len, out, out_len, multi_key);
+        reduction_phase(data, num_chunks, tail_len, multi_key);
       }
       {
         detail::SchedPhaseScope phase("local_combine", opts_.phase_tracer, {{"iter", iter}});
@@ -534,15 +637,15 @@ class Scheduler {
   ///
   /// Single-key runs take the *batched* path when RunOptions::batch_chunks
   /// > 1: keys for up to batch_chunks consecutive full chunks are computed
-  /// at once (gen_keys_batch over a columnar ChunkBatch view), runs of
-  /// consecutive equal keys are detected (consecutive chunks usually share
-  /// a key — the cached-slot trick extended to whole runs), and each run
-  /// costs one map lookup plus one accumulate_batch call instead of a
-  /// lookup and two virtual dispatches per chunk.  The ragged tail and the
-  /// multi-key (run2) path stay chunk-at-a-time; multi-key chunks prefetch
-  /// their whole key set's map probe heads before accumulating.
-  void reduction_phase(const In* data, std::size_t num_chunks, std::size_t tail_len, Out* out,
-                       std::size_t out_len, bool multi_key) {
+  /// at once (gen_keys_batch over a columnar ChunkBatch view) and the whole
+  /// batch goes to one accumulate_batch call, whose override folds each run
+  /// of consecutive equal keys through WorkerSlots::for_each_run — two
+  /// virtual calls per batch instead of two per chunk (or per run).  The
+  /// ragged tail and the multi-key (run2) path stay chunk-at-a-time;
+  /// multi-key chunks prefetch their whole key set's map probe heads
+  /// before accumulating.
+  void reduction_phase(const In* data, std::size_t num_chunks, std::size_t tail_len,
+                       bool multi_key) {
     const std::size_t num_units = num_chunks + (tail_len > 0 ? 1 : 0);
     const auto workers = static_cast<std::size_t>(args_.num_threads);
     const std::size_t base = num_units / workers;
@@ -567,44 +670,10 @@ class Scheduler {
       obs::TraceSpan worker_span("reduce.worker", "sched", {{"worker", w}}, trace_rank);
       const auto uw = static_cast<std::size_t>(w);
       auto& rmap = reduction_maps_[uw];
+      WorkerSlots& slots = worker_slots_[uw];
+      const std::size_t erased_before = slots.erased();
       std::size_t peak = rmap.size();
       std::vector<int> keys;
-      // Consecutive chunks usually hit the same key (single-object apps,
-      // grid runs), so cache the last slot.  The cache holds the dense
-      // *index* of the entry, not a pointer: CombinationMap appends never
-      // move an existing entry's index, while the entry storage itself can
-      // reallocate under unrelated inserts.
-      int cached_key = 0;
-      std::size_t cached_slot = CombinationMap::npos;
-      auto locate = [&](int key) -> std::unique_ptr<RedObj>& {
-        if (cached_slot == CombinationMap::npos || cached_key != key) {
-          cached_slot = rmap.slot_index(key);
-          cached_key = key;
-        }
-        return rmap.slot_at(cached_slot);
-      };
-      auto emit_and_erase = [&](std::unique_ptr<RedObj>& slot, int key) {
-        // Algorithm 2 lines 5-7: convert and drop right away.
-        if (out != nullptr && key >= 0 && static_cast<std::size_t>(key) < out_len) {
-          convert(*slot, out + key);
-        }
-        // erase() swap-moves the last entry into the freed index, so the
-        // cached index may now name a different key — drop it.
-        rmap.erase(key);
-        cached_slot = CombinationMap::npos;
-        ++emitted[uw];
-      };
-      auto process_key = [&](const Chunk& chunk, int key) {
-        detail::t_current_key = key;
-        auto& slot = locate(key);
-        if (slot) slot->set_key(key);
-        accumulate(chunk, data, slot);
-        if (!slot) {
-          throw std::logic_error("Scheduler: accumulate left a null reduction object");
-        }
-        slot->set_key(key);
-        if (opts_.enable_trigger && slot->trigger()) emit_and_erase(slot, key);
-      };
       auto process_chunk = [&](std::size_t c) {
         // The last unit may be the ragged tail; Chunk::length carries its
         // true element count so apps clip their loops to it.
@@ -617,9 +686,9 @@ class Scheduler {
           // prefetches for the whole key set up front overlaps the index
           // walk's cache misses instead of paying them one by one.
           for (const int key : keys) rmap.prefetch(key);
-          for (const int key : keys) process_key(chunk, key);
+          for (const int key : keys) accumulate_chunk(chunk, data, key, slots);
         } else {
-          process_key(chunk, gen_key(chunk, data, combination_map_));
+          accumulate_chunk(chunk, data, gen_key(chunk, data, combination_map_), slots);
         }
         elems_done[uw] += len;
         if (rmap.size() > peak) peak = rmap.size();
@@ -631,31 +700,7 @@ class Scheduler {
       auto process_batch = [&](std::size_t first_chunk, std::size_t n) {
         const ChunkBatch batch{first_chunk * args_.chunk_size, args_.chunk_size, n};
         gen_keys_batch(batch, data, batch_keys.data(), combination_map_);
-        std::size_t i = 0;
-        while (i < n) {
-          // Key-run detection: one lookup + one accumulate_batch per run
-          // of consecutive equal keys.
-          const int key = batch_keys[i];
-          std::size_t run_end = i + 1;
-          while (run_end < n && batch_keys[run_end] == key) ++run_end;
-          while (i < run_end) {
-            detail::t_current_key = key;
-            auto& slot = locate(key);
-            if (slot) slot->set_key(key);
-            const std::size_t consumed =
-                accumulate_batch(batch.sub(i, run_end - i), data, slot, opts_.enable_trigger);
-            if (!slot) {
-              throw std::logic_error(
-                  "Scheduler: accumulate_batch left a null reduction object");
-            }
-            slot->set_key(key);
-            if (opts_.enable_trigger && slot->trigger()) emit_and_erase(slot, key);
-            // A triggered run resumes here: the next locate() re-inserts
-            // the key and accumulation restarts on a fresh object, exactly
-            // like the per-chunk path.
-            i += consumed == 0 ? 1 : consumed;
-          }
-        }
+        accumulate_batch(batch, data, batch_keys.data(), slots);
         elems_done[uw] += batch.elements();
         if (rmap.size() > peak) peak = rmap.size();
       };
@@ -704,6 +749,7 @@ class Scheduler {
         process_range(begin, begin + base + (uw < extra ? 1 : 0));
       }
       peak_objs[uw] = peak;
+      emitted[uw] = slots.erased() - erased_before;
     });
 
     double critical_path = 0.0;
@@ -895,6 +941,9 @@ class Scheduler {
   RunOptions opts_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<CombinationMap> reduction_maps_;
+  /// One accessor per worker map; the vector above never resizes, so the
+  /// map addresses they hold stay valid.
+  std::vector<WorkerSlots> worker_slots_;
   CombinationMap combination_map_;
   CombinationMap carry_map_;
   MapCombiner map_combiner_;
@@ -905,6 +954,9 @@ class Scheduler {
   /// combination map this iteration, kept for reuse by local_combination.
   bool reuse_worker_objects_ = false;
   std::size_t total_len_ = 0;
+  /// The output array of the run in progress, for early emission.
+  Out* out_ = nullptr;
+  std::size_t out_len_ = 0;
   std::size_t tracked_red_bytes_ = 0;
   std::unique_ptr<CircularBuffer<FeedCell>> feed_buffer_;
   RunStats stats_;

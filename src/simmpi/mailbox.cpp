@@ -1,5 +1,7 @@
 #include "simmpi/mailbox.h"
 
+#include <iterator>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "simmpi/schedule.h"
@@ -153,50 +155,62 @@ void Mailbox::notify_scheduled(int source, int tag, std::uint64_t epoch) {
 }
 
 std::optional<Envelope> Mailbox::take_locked(int source, int tag, std::uint64_t epoch) {
-  if (lanes_.empty()) return std::nullopt;
+  bool freed = false;
+  // Accounts for an envelope leaving its lane (taken or dropped).
+  auto release = [&](Lane& lane, const Envelope& e) {
+    --pending_;
+    lane.bytes -= e.size();
+    pending_bytes_ -= e.size();
+    freed = true;
+  };
   // First envelope of a lane in `epoch` (FIFO within a round).  Normally
-  // the head; a stale head — a late payload from a round its receiver gave
-  // up on — is passed over rather than blocking every later round.
+  // the head.  A stale head — a late payload from a round its receiver gave
+  // up on, or a duplicate of one it already took — is dropped on the way:
+  // an epoch-specific receive means this receiver is past every older
+  // round, so nothing will ever match it.  Envelopes of later rounds (a
+  // sprinting peer) stay queued.
   auto first_match = [&](Lane& lane) {
     auto it = lane.q.begin();
-    while (it != lane.q.end() && !epoch_matches(epoch, it->epoch)) ++it;
+    while (it != lane.q.end() && !epoch_matches(epoch, it->epoch)) {
+      if (epoch != kAnyEpoch && it->epoch < epoch) {
+        release(lane, *it);
+        it = lane.q.erase(it);
+      } else {
+        ++it;
+      }
+    }
     return it;
   };
-  auto pop = [&](std::unordered_map<std::uint64_t, Lane>::iterator lane,
-                 std::deque<Envelope>::iterator at) {
-    Envelope e = std::move(*at);
-    lane->second.q.erase(at);
-    --pending_;
-    const std::size_t nbytes = e.size();
-    lane->second.bytes -= nbytes;
-    pending_bytes_ -= nbytes;
-    if (senders_waiting_ != 0) space_cv_.notify_all();
-    // Erase drained lanes: collective tags descend every round, so keeping
-    // empty lanes around would grow the table without bound.
-    if (lane->second.q.empty()) lanes_.erase(lane);
-    return e;
-  };
-  if (source != kAnySource && tag != kAnyTag) {
-    const auto lane = lanes_.find(lane_key(source, tag));
-    if (lane == lanes_.end()) return std::nullopt;
-    const auto at = first_match(lane->second);
-    if (at == lane->second.q.end()) return std::nullopt;
-    return pop(lane, at);
-  }
-  // Wildcard receive: earliest arrival among the matching lanes' candidates.
+  // An exact receive scans its one lane; a wildcard receive takes the
+  // earliest arrival among the matching lanes' candidates.
+  const bool exact = source != kAnySource && tag != kAnyTag;
+  auto it = exact ? lanes_.find(lane_key(source, tag)) : lanes_.begin();
+  const auto stop = exact && it != lanes_.end() ? std::next(it) : lanes_.end();
   auto best = lanes_.end();
   std::deque<Envelope>::iterator best_at;
-  for (auto it = lanes_.begin(); it != lanes_.end(); ++it) {
-    if (!selector_matches(source, tag, it->second.source, it->second.tag)) continue;
+  while (it != stop) {
+    if (!selector_matches(source, tag, it->second.source, it->second.tag)) {
+      ++it;
+      continue;
+    }
     const auto at = first_match(it->second);
-    if (at == it->second.q.end()) continue;
-    if (best == lanes_.end() || at->seq < best_at->seq) {
+    if (at != it->second.q.end() && (best == lanes_.end() || at->seq < best_at->seq)) {
       best = it;
       best_at = at;
     }
+    // Erase drained lanes: collective tags descend every round, so keeping
+    // empty lanes around would grow the table without bound.
+    it = it->second.q.empty() ? lanes_.erase(it) : std::next(it);
   }
-  if (best == lanes_.end()) return std::nullopt;
-  return pop(best, best_at);
+  std::optional<Envelope> taken;
+  if (best != lanes_.end()) {
+    release(best->second, *best_at);
+    taken = std::move(*best_at);
+    best->second.q.erase(best_at);
+    if (best->second.q.empty()) lanes_.erase(best);
+  }
+  if (freed && senders_waiting_ != 0) space_cv_.notify_all();
+  return taken;
 }
 
 void Mailbox::unregister_locked(Waiter* w) {

@@ -11,10 +11,11 @@
 // Also covered: the kernel-level identities the batched apps rely on
 // (truncation == floor after clamping, points-in-lanes argmin == scalar
 // argmin on every ISA leg with the lowest-index tie rule, NaN and infinite
-// points included),
-// trigger-driven mid-batch erase through the
-// default accumulate_batch, split-policy invariance for integer apps, and
-// the worker_skew metric.  Registered under the `schedule` ctest label and
+// coordinates and centroids and distances at DBL_MAX included), batch 0 ==
+// batch 64 on a Heat3D slab at 1, 2 and 4 threads under every split
+// policy, trigger-driven mid-batch erase through the default
+// accumulate_batch, split-policy invariance for integer apps, and the
+// worker_skew metric.  Registered under the `schedule` ctest label and
 // run under TSan by scripts/check.sh.
 #include <gtest/gtest.h>
 
@@ -22,8 +23,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -37,6 +40,7 @@
 #include "analytics/summary_stats.h"
 #include "common/rng.h"
 #include "core/scheduler.h"
+#include "sim/heat3d.h"
 
 namespace smart {
 namespace {
@@ -217,6 +221,14 @@ struct Avx2Leg {
     kernels::detail::nearest_centroids_avx2<T, Dims>(pts, n, centroids, k, keys);
   }
 };
+
+struct Avx512Leg {
+  template <class T, std::size_t Dims>
+  static void assign(const T* pts, std::size_t n, const double* centroids, std::size_t k,
+                     int* keys) {
+    kernels::detail::nearest_centroids_avx512<T, Dims>(pts, n, centroids, k, keys);
+  }
+};
 #endif
 
 // Every (k, n) in the grid against the scalar early-exit scan, point by
@@ -276,10 +288,143 @@ TEST(NearestCentroids, EveryIsaLegMatchesScalarScan) {
   ASSERT_NO_FATAL_FAILURE(expect_every_width_matches_scalar<Sse2Leg>());
 #if defined(__x86_64__) || defined(__i386__)
   if (!kernels::detail::cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2; the SSE2 leg passed";
-  expect_every_width_matches_scalar<Avx2Leg>();
+  ASSERT_NO_FATAL_FAILURE(expect_every_width_matches_scalar<Avx2Leg>());
+  if (!kernels::detail::cpu_has_avx512f()) {
+    GTEST_SKIP() << "CPU lacks AVX-512F; the SSE2 and AVX2 legs passed";
+  }
+  expect_every_width_matches_scalar<Avx512Leg>();
 #else
   GTEST_SKIP() << "no AVX2 leg on this architecture; the SSE2 leg passed";
 #endif
+}
+
+// Hostile inputs for the leg-equality property below: NaN and +-inf in
+// points and in centroids, exact ties (a duplicated centroid, points on a
+// centroid, points midway between two), and squared distances at or above
+// DBL_MAX.  sqrt(DBL_MAX)^2 rounds one ulp below DBL_MAX, and adding
+// (1.5 * 2^485)^2 = 1.125 ulp lands the sum exactly on DBL_MAX, which the
+// strict `< best` scan from DBL_MAX must not take; a 1e200 coordinate
+// overflows its square to +inf.
+struct HostileCase {
+  std::vector<double> pts;
+  std::vector<double> centroids;
+};
+
+HostileCase hostile_case(Rng& rng, std::size_t dims, std::size_t n, std::size_t k) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  HostileCase hc;
+  hc.centroids.resize(k * dims);
+  for (auto& v : hc.centroids) v = rng.uniform(-5.0, 5.0);
+  if (k >= 3) {
+    hc.centroids[1 * dims + dims - 1] = nan;  // never wins: every distance is NaN
+    hc.centroids[2 * dims] = inf;             // finite points are infinitely far
+  }
+  if (k >= 4) {  // the mirror of centroid 0: the origin ties between them
+    for (std::size_t d = 0; d < dims; ++d) hc.centroids[3 * dims + d] = -hc.centroids[d];
+  }
+  if (k >= 8) {
+    for (std::size_t d = 0; d < dims; ++d) hc.centroids[4 * dims + d] = 0.0;  // the origin
+    hc.centroids[5 * dims + 1] = -inf;
+    hc.centroids[6 * dims] = inf;  // inf next to NaN
+    hc.centroids[6 * dims + 1] = nan;
+  }
+  if (k >= 2) {  // exact ties: the last centroid duplicates centroid 0
+    for (std::size_t d = 0; d < dims; ++d) hc.centroids[(k - 1) * dims + d] = hc.centroids[d];
+  }
+  const double* c0 = hc.centroids.data();
+  hc.pts.resize(n * dims);
+  for (std::size_t p = 0; p < n; ++p) {
+    double* pt = hc.pts.data() + p * dims;
+    for (std::size_t d = 0; d < dims; ++d) pt[d] = rng.uniform(-5.0, 5.0);
+    switch (p % 11) {
+      case 1:  // on centroid 0 (and its duplicate)
+        for (std::size_t d = 0; d < dims; ++d) pt[d] = c0[d];
+        break;
+      case 3:  // the origin: midway between centroid 0 and its mirror
+        for (std::size_t d = 0; d < dims; ++d) pt[d] = 0.0;
+        break;
+      case 4: pt[dims - 1] = nan; break;
+      case 5: pt[0] = inf; break;
+      case 6: pt[p % dims] = -inf; break;
+      case 7:  // squared distance to the origin (centroid 4) exactly DBL_MAX
+        for (std::size_t d = 0; d < dims; ++d) pt[d] = 0.0;
+        pt[0] = std::sqrt(std::numeric_limits<double>::max());
+        pt[1] = 1.5 * std::ldexp(1.0, 485);
+        break;
+      case 8: pt[1] = 1e200; break;  // squared distance overflows to +inf
+      case 9:
+        pt[0] = inf;
+        pt[1] = nan;
+        break;
+      default: break;
+    }
+  }
+  return hc;
+}
+
+using AssignFn =
+    std::function<void(const double*, std::size_t, const double*, std::size_t, int*)>;
+using Legs = std::vector<std::pair<std::string, AssignFn>>;
+
+// Every leg the host can run, at one fixed width, called directly; the
+// scalar leg is the early-exit scan the per-point path used before the
+// lanes kernel, and the dispatcher picks among the others by CPUID and n.
+template <std::size_t Dims>
+Legs runnable_legs() {
+  namespace kd = kernels::detail;
+  Legs legs = {
+      {"scalar",
+       [](const double* pts, std::size_t n, const double* c, std::size_t k, int* keys) {
+         for (std::size_t p = 0; p < n; ++p) {
+           keys[p] = kd::nearest_centroid_fixed<double, Dims>(pts + p * Dims, c, k);
+         }
+       }},
+      {"sse2", Sse2Leg::assign<double, Dims>},
+      {"dispatch", kd::nearest_centroids_fixed<double, Dims>},
+  };
+#if defined(__x86_64__) || defined(__i386__)
+  if (kd::cpu_has_avx2()) legs.emplace_back("avx2", kd::nearest_centroids_avx2<double, Dims>);
+  if (kd::cpu_has_avx512f()) {
+    legs.emplace_back("avx512", kd::nearest_centroids_avx512<double, Dims>);
+  }
+#endif
+  return legs;
+}
+
+void expect_legs_match_reference(std::size_t dims, const Legs& legs) {
+  Rng rng(920 + dims);
+  for (const std::size_t k : {1u, 2u, 3u, 8u, 9u, 17u}) {
+    for (std::size_t n = 0; n <= 70; ++n) {
+      const HostileCase hc = hostile_case(rng, dims, n, k);
+      std::vector<int> want(n);
+      for (std::size_t p = 0; p < n; ++p) {
+        want[p] = ref_nearest(hc.pts.data() + p * dims, dims, hc.centroids.data(), k);
+      }
+      for (const auto& [name, assign] : legs) {
+        constexpr int kSentinel = -7;
+        std::vector<int> got(n + 1, kSentinel);
+        assign(hc.pts.data(), n, hc.centroids.data(), k, got.data());
+        ASSERT_EQ(got[n], kSentinel) << name << " dims=" << dims << " k=" << k << " n=" << n;
+        got.pop_back();
+        ASSERT_EQ(got, want) << name << " dims=" << dims << " k=" << k << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(NearestCentroids, EveryLegMatchesReferenceOnHostileInputs) {
+  ASSERT_NO_FATAL_FAILURE(expect_legs_match_reference(2, runnable_legs<2>()));
+  ASSERT_NO_FATAL_FAILURE(expect_legs_match_reference(3, runnable_legs<3>()));
+  ASSERT_NO_FATAL_FAILURE(expect_legs_match_reference(4, runnable_legs<4>()));
+  ASSERT_NO_FATAL_FAILURE(expect_legs_match_reference(8, runnable_legs<8>()));
+  // Generic widths have one leg: the entry point's plain loop.
+  for (const std::size_t dims : {5u, 6u}) {
+    const Legs generic = {
+        {"generic", [dims](const double* pts, std::size_t n, const double* c, std::size_t k,
+                           int* keys) { kernels::nearest_centroids(pts, n, dims, c, k, keys); }}};
+    ASSERT_NO_FATAL_FAILURE(expect_legs_match_reference(dims, generic));
+  }
 }
 
 TEST(AccumulateKernels, PointSumsMatchPerPointOrderBitForBit) {
@@ -500,12 +645,149 @@ TEST(BatchedExactness, BlockAggregationBitForBit) {
   }
 }
 
+// --- batch 0 == batch 64 on a Heat3D slab, every thread count and split -----
+
+// A Heat3D 32x32x64 slab after 200 steps: a hot quarter near the heated
+// plane with short key runs, a cold bulk with long ones — the field the
+// one-call batch's run loop is built for.
+std::vector<double> heat_slab() {
+  sim::Heat3D heat({.nx = 32, .ny = 32, .nz_local = 64}, nullptr);
+  for (int s = 0; s < 200; ++s) heat.step();
+  return std::vector<double>(heat.output(), heat.output() + heat.output_len());
+}
+
+// The same slab rounded to multiples of 2^-16.  Its values lie in [0, 1],
+// so every sum and sum of squares the apps form over 65536 of them is
+// exact in any order.  Under kDynamic and kGuided the chunk-to-worker
+// assignment depends on timing, and with it the grouping of the
+// floating-point merges; on this slab the results are still defined bit
+// for bit, so batch 0 and batch 64 must agree under every policy.
+std::vector<double> dyadic(std::vector<double> v) {
+  for (auto& x : v) x = std::ldexp(std::nearbyint(std::ldexp(x, 16)), -16);
+  return v;
+}
+
+/// run(slab, threads, opts) at batch_chunks 0 and 64 must agree bit for bit
+/// at 1, 2 and 4 threads, under kContiguous or under every split policy.
+template <class Run>
+void expect_batch_invariant(const std::vector<double>& slab, bool every_policy, Run run) {
+  const std::vector<SplitPolicy> policies =
+      every_policy
+          ? std::vector<SplitPolicy>{SplitPolicy::kContiguous, SplitPolicy::kDynamic,
+                                     SplitPolicy::kGuided}
+          : std::vector<SplitPolicy>{SplitPolicy::kContiguous};
+  for (const SplitPolicy policy : policies) {
+    for (const int threads : {1, 2, 4}) {
+      RunOptions scalar = with_batch(0), batched = with_batch(64);
+      scalar.split_policy = batched.split_policy = policy;
+      EXPECT_EQ(bits_of(run(slab, threads, scalar)), bits_of(run(slab, threads, batched)))
+          << "threads=" << threads << " policy=" << static_cast<int>(policy);
+    }
+  }
+}
+
+std::vector<double> heat_kmeans(const std::vector<double>& slab, int threads,
+                                const RunOptions& opts) {
+  constexpr std::size_t dims = 4, k = 8;
+  Rng rng(4711);
+  std::vector<double> init(k * dims);
+  for (auto& x : init) x = rng.uniform(0.0, 1.0);
+  KMeansInit seed{init.data(), k, dims};
+  KMeans<double> km(SchedArgs(threads, dims, &seed, 10), k, dims, opts);
+  km.run(slab.data(), slab.size(), nullptr, 0);
+  return km.centroids();
+}
+
+std::vector<double> heat_histogram(const std::vector<double>& slab, int threads,
+                                   const RunOptions& opts) {
+  Histogram<double> hist(SchedArgs(threads, 1), 0.0, 1.0, 1200, opts);
+  std::vector<std::size_t> counts(1200, 0);
+  hist.run(slab.data(), slab.size(), counts.data(), counts.size());
+  return std::vector<double>(counts.begin(), counts.end());
+}
+
+std::vector<double> heat_moments(const std::vector<double>& slab, int threads,
+                                 const RunOptions& opts) {
+  SummaryStats<double> stats(SchedArgs(threads, 1), opts);
+  stats.run(slab.data(), slab.size(), nullptr, 0);
+  const Summary s = stats.summary();
+  return {static_cast<double>(s.count), s.mean, s.stddev, s.min, s.max};
+}
+
+std::vector<double> heat_grid(const std::vector<double>& slab, int threads,
+                              const RunOptions& opts) {
+  GridAggregation<double> grid(SchedArgs(threads, 8), 64, opts);
+  std::vector<double> out(slab.size() / 64, 0.0);
+  grid.run(slab.data(), slab.size(), out.data(), out.size());
+  return out;
+}
+
+std::vector<double> heat_blocks(const std::vector<double>& slab, int threads,
+                                const RunOptions& opts) {
+  BlockAggregation<double>::Shape shape;
+  shape.nx = 32; shape.ny = 32; shape.nz = 64;
+  shape.bx = 8;  shape.by = 4;  shape.bz = 8;
+  BlockAggregation<double> block(SchedArgs(threads, 1), shape, opts);
+  std::vector<double> out(block.num_blocks(), 0.0);
+  block.run(slab.data(), slab.size(), out.data(), out.size());
+  return out;
+}
+
+TEST(HeatSlabBatching, KMeansCentroidsBitForBit) {
+  const auto slab = heat_slab();
+  expect_batch_invariant(slab, false, heat_kmeans);
+  expect_batch_invariant(dyadic(slab), true, heat_kmeans);
+}
+
+TEST(HeatSlabBatching, HistogramBitForBit) {
+  const auto slab = heat_slab();
+  expect_batch_invariant(slab, true, heat_histogram);  // integer counts: any order
+}
+
+TEST(HeatSlabBatching, SummaryStatsBitForBit) {
+  const auto slab = heat_slab();
+  expect_batch_invariant(slab, false, heat_moments);
+  expect_batch_invariant(dyadic(slab), true, heat_moments);
+}
+
+TEST(HeatSlabBatching, GridAggregationBitForBit) {
+  const auto slab = heat_slab();
+  expect_batch_invariant(slab, false, heat_grid);
+  expect_batch_invariant(dyadic(slab), true, heat_grid);
+}
+
+TEST(HeatSlabBatching, BlockAggregationBitForBit) {
+  const auto slab = heat_slab();
+  expect_batch_invariant(slab, false, heat_blocks);
+  expect_batch_invariant(dyadic(slab), true, heat_blocks);
+}
+
+TEST(HeatSlabBatching, ReusedSchedulerMatchesFreshOne) {
+  // The worker slot caches outlive a run: a histogram scheduler reused on
+  // streams that touch the buckets in different orders (so every worker
+  // map files its keys at other dense indices each run) must count exactly
+  // what a fresh scheduler counts.
+  Rng rng(918);
+  for (const int threads : {1, 3}) {
+    Histogram<double> reused(SchedArgs(threads, 1), -1.0, 1.0, 37, with_batch(64));
+    for (int round = 0; round < 4; ++round) {
+      std::vector<double> data(3000 + 17 * static_cast<std::size_t>(round));
+      const double shift = round % 2 == 0 ? 0.6 : -0.6;  // hot buckets move each round
+      for (auto& x : data) x = rng.gaussian(shift, 0.3);
+      std::vector<std::size_t> got(37, 0), want(37, 0);
+      reused.run(data.data(), data.size(), got.data(), got.size());
+      Histogram<double> fresh(SchedArgs(threads, 1), -1.0, 1.0, 37, with_batch(64));
+      fresh.run(data.data(), data.size(), want.data(), want.size());
+      EXPECT_EQ(got, want) << "threads=" << threads << " round=" << round;
+    }
+  }
+}
+
 // --- trigger mid-batch -------------------------------------------------------
 
 // A windowed sum that triggers every `window` values: batch 64 with window
-// 7 forces the default accumulate_batch to stop mid-run on nearly every
-// batch, exercising the consumed-count contract and the erase/re-insert
-// resume inside a key run.
+// 7 makes the default accumulate_batch emit mid-run on nearly every batch,
+// exercising the erase/re-insert resume inside a key run.
 struct WindowSumObj : RedObj {
   static constexpr std::size_t kWindow = 7;
   std::size_t count = 0;
@@ -536,8 +818,9 @@ class SegmentWindow : public Scheduler<double, double> {
   int gen_key(const Chunk& chunk, const double*, const CombinationMap&) const override {
     return static_cast<int>(chunk.start / 64);
   }
-  // Default gen_keys_batch / accumulate_batch (scalar replay honoring
-  // stop_after_trigger) — the path every app gets without an override.
+  // Default gen_keys_batch / accumulate_batch (per-chunk replay with
+  // trigger and early emission) — the path every app gets without an
+  // override.
   void accumulate(const Chunk& chunk, const double* data,
                   std::unique_ptr<RedObj>& obj) override {
     if (!obj) obj = std::make_unique<WindowSumObj>();

@@ -378,7 +378,9 @@ TEST(TraceGather, MergedFileContainsEveryRank) {
     obs::TraceCollector::instance().instant("tick", "test", {{"rank", comm.rank()}});
     std::vector<int> missing;
     EXPECT_TRUE(obs::gather_trace_to_rank0(comm, path, 5.0, &missing));
-    if (comm.rank() == 0) EXPECT_TRUE(missing.empty());
+    if (comm.rank() == 0) {
+      EXPECT_TRUE(missing.empty());
+    }
   });
   obs::TraceCollector::instance().set_enabled(false);
 

@@ -344,7 +344,9 @@ TEST(TransportSharedPayload, BcastSharedMovesZeroBytes) {
     comm.barrier();
     // The whole 8-rank tree shares one immutable payload: no copy anywhere
     // (barrier messages are empty, so they cannot disturb the counter).
-    if (comm.rank() == 0) EXPECT_EQ(payload_bytes_copied() - before, 0u);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(payload_bytes_copied() - before, 0u);
+    }
   });
 }
 
@@ -390,7 +392,9 @@ TEST(TransportBufferPool, AcquireReleaseRoundTripHitsPool) {
   Buffer b = BufferPool::acquire(4096);
   EXPECT_TRUE(b.empty());
   EXPECT_GE(b.capacity(), 4096u);
-  if (storage != nullptr) EXPECT_EQ(b.data(), storage);  // same allocation came back
+  if (storage != nullptr) {
+    EXPECT_EQ(b.data(), storage);  // same allocation came back
+  }
   const auto t1 = BufferPool::totals();
   EXPECT_EQ(t1.hits - t0.hits, 1u);
   EXPECT_GE(t1.releases_pooled - t0.releases_pooled, 1u);
@@ -575,16 +579,58 @@ TEST(TransportBackpressure, EpochSelectiveReceiveSkipsMismatchedLanes) {
 
   // Within one lane too: a stale round-1 head (a late payload its round
   // gave up on) neither hides round 2 from exact or wildcard receives nor
-  // is consumed by them.
-  for (const int value : {300, 400, 500}) {
+  // is consumed by them.  The round-2 receive drops it instead, so once
+  // round 2 is drained nothing stays queued; a round-3 envelope posted
+  // early (a sprinting peer) survives both round-2 receives.
+  for (const int value : {300, 400, 500, 600}) {
     Envelope e = make_envelope(2, 5, value);
-    e.epoch = value == 300 ? 1 : 2;
+    e.epoch = value == 300 ? 1 : (value == 600 ? 3 : 2);
     box.post(std::move(e));
   }
   EXPECT_EQ(envelope_value(box.receive(2, 5, 2)), 400);
   EXPECT_EQ(envelope_value(box.receive(kAnySource, 5, 2)), 500);
   EXPECT_EQ(box.pending(), 1u);
-  EXPECT_EQ(envelope_value(box.receive(2, 5, 1)), 300);
+  EXPECT_EQ(envelope_value(box.receive(kAnySource, 5, 3)), 600);
+  EXPECT_EQ(box.pending(), 0u);
+  EXPECT_EQ(box.pending_bytes(), 0u);
+  EXPECT_EQ(box.lane_count(), 0u);
+
+  // A lane holding nothing but stale envelopes is drained by a wildcard
+  // receive of a later round that other lanes satisfy.
+  Envelope stale = make_envelope(3, 5, 700);
+  stale.epoch = 4;
+  box.post(std::move(stale));
+  Envelope current = make_envelope(4, 5, 800);
+  current.epoch = 5;
+  box.post(std::move(current));
+  EXPECT_EQ(envelope_value(box.receive(kAnySource, 5, 5)), 800);
+  EXPECT_EQ(box.pending(), 0u);
+  EXPECT_EQ(box.pending_bytes(), 0u);
+  EXPECT_EQ(box.lane_count(), 0u);
+}
+
+TEST(TransportBackpressure, DroppingAStaleEnvelopeReleasesABlockedSender) {
+  // A full lane whose only envelope is stale: the next round's sender is
+  // parked on it, and the receiver dropping the stale envelope is the only
+  // thing that can make room.
+  Mailbox box;
+  box.set_lane_capacity(1, 0);
+  Envelope stale = make_envelope(0, 3, 100);
+  stale.epoch = 1;
+  box.post(std::move(stale));
+  std::thread producer([&] {
+    Envelope next = make_envelope(0, 3, 200);
+    next.epoch = 2;
+    box.post(std::move(next));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));  // let it park
+  const auto got = box.receive_for(0, 3, std::chrono::seconds(5), 2);
+  if (!got) box.mark_dead();  // release the parked producer so join() returns
+  producer.join();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(envelope_value(*got), 200);
+  EXPECT_EQ(box.pending(), 0u);
+  EXPECT_EQ(box.pending_bytes(), 0u);
 }
 
 TEST(TransportCollectives, GatherEpochSurvivesThousandsOfRounds) {
@@ -673,7 +719,9 @@ TEST(TransportSharedPayload, AllreduceSharedMovesZeroBytes) {
     ASSERT_EQ(result.size(), kElems);
     EXPECT_DOUBLE_EQ(result[0], 0.0 + 1.0 + 2.0 + 3.0);
     comm.barrier();
-    if (comm.rank() == 0) EXPECT_EQ(payload_bytes_copied() - before, 0u);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(payload_bytes_copied() - before, 0u);
+    }
   });
 }
 
@@ -969,7 +1017,9 @@ TEST(TransportArena, CollectiveFanoutZeroCopy) {
     }
 
     comm.barrier();
-    if (rank == 0) EXPECT_EQ(payload_bytes_copied() - before, 0u);
+    if (rank == 0) {
+      EXPECT_EQ(payload_bytes_copied() - before, 0u);
+    }
   });
 }
 
