@@ -27,9 +27,11 @@
 //                MPI constants: alpha 5 us, beta 200 MB/s), DOUBLED in
 //                space-sharing mode (message passing serializes across the
 //                concurrent simulation and analytics tasks)
+// Each row is priced by the mode advisor (core/advisor.h), which also
+// names the recommended mode per app:
 //   time sharing T = S/sp_s(60) + A/sp_a(60) + sync
 //   space n_m    T = max(S/sp_s(n), A/sp_a(m) + 2 sync)
-//   sim-only     T = S/sp_s(60)
+//   sim-only     T = S/sp_s(60)  (time sharing with A = sync = 0)
 // The space-sharing *machinery* (circular buffer, concurrent feed/run) is
 // also really exercised to validate the mode end to end.
 #include <thread>
@@ -37,6 +39,7 @@
 #include "analytics/histogram.h"
 #include "bench/bench_apps.h"
 #include "bench/bench_util.h"
+#include "core/advisor.h"
 #include "sim/minilulesh.h"
 #include "simmpi/world.h"
 
@@ -61,12 +64,6 @@ double sp_sim(int t) { return t / (1.0 + 0.05 * (t - 1.0)); }
 
 double sp_ana(int t) { return t / (1.0 + 0.02 * (t - 1.0)); }
 
-struct Measured {
-  double sim_per_step = 0.0;   // S
-  double ana_per_step = 0.0;   // A
-  double sync_per_step = 0.0;  // modeled from measured traffic
-};
-
 std::size_t lulesh_edge() {
   return static_cast<std::size_t>(32.0 * std::cbrt(smart::bench_scale()));
 }
@@ -79,9 +76,10 @@ double sim_only_makespan() {
   return stats.makespan();
 }
 
-Measured measure(const std::string& app_name) {
-  Measured m;
-  m.sim_per_step = sim_only_makespan() / kSteps;
+/// S and A measured, sync modeled from the measured traffic.
+ModeCosts measure(const std::string& app_name) {
+  ModeCosts m;
+  m.sim_seconds_per_step = sim_only_makespan() / kSteps;
 
   // Local-only in-situ run isolates the analytics compute...
   auto local_stats = simmpi::launch(kRanks, [&](simmpi::Communicator& comm) {
@@ -93,7 +91,8 @@ Measured measure(const std::string& app_name) {
       app->run(lulesh.output(), lulesh.output_len());
     }
   });
-  m.ana_per_step = std::max(0.0, local_stats.makespan() / kSteps - m.sim_per_step);
+  m.ana_seconds_per_step =
+      std::max(0.0, local_stats.makespan() / kSteps - m.sim_seconds_per_step);
 
   // ... and a global run measures the per-step combination traffic, from
   // which the coprocessor sync cost is modeled.
@@ -108,9 +107,9 @@ Measured measure(const std::string& app_name) {
     if (comm.rank() == 0) rank0 = app->stats();
   });
   smart::bench::print_run_stats("fig10/" + app_name, rank0);
-  m.sync_per_step = (static_cast<double>(rank0.global_combinations) * kAlphaMpi +
-                     static_cast<double>(rank0.bytes_serialized) / kBetaMpi) /
-                    kSteps;
+  m.sync_seconds_per_step = (static_cast<double>(rank0.global_combinations) * kAlphaMpi +
+                             static_cast<double>(rank0.bytes_serialized) / kBetaMpi) /
+                            kSteps;
   return m;
 }
 
@@ -148,12 +147,13 @@ int main() {
 
   const std::vector<std::pair<int, int>> schemes = {{50, 10}, {40, 20}, {30, 30}, {20, 40},
                                                     {10, 50}};
+  const NodeModel node{kCores, sp_sim, sp_ana, 2.0};
   for (const char* app : {"histogram", "kmeans", "moving_median"}) {
-    const Measured m = measure(app);
+    const ModeCosts m = measure(app);
     smart::Table table({"scheme", "modeled_time_per_step_s", "vs_time_sharing_pct"});
-    const double t_time =
-        m.sim_per_step / sp_sim(kCores) + m.ana_per_step / sp_ana(kCores) + m.sync_per_step;
-    const double t_sim_only = m.sim_per_step / sp_sim(kCores);
+    const double t_time = time_sharing_seconds(m, node);
+    const double t_sim_only =
+        time_sharing_seconds(ModeCosts{.sim_seconds_per_step = m.sim_seconds_per_step}, node);
     table.begin_row();
     table.add("sim_only");
     table.add(t_sim_only, 5);
@@ -163,8 +163,7 @@ int main() {
     table.add(t_time, 5);
     table.add(0.0, 1);
     for (const auto& [n, mm] : schemes) {
-      const double t_space = std::max(m.sim_per_step / sp_sim(n),
-                                      m.ana_per_step / sp_ana(mm) + 2.0 * m.sync_per_step);
+      const double t_space = space_sharing_seconds(m, node, n);
       table.begin_row();
       table.add(std::to_string(n) + "_" + std::to_string(mm));
       table.add(t_space, 5);
@@ -172,9 +171,10 @@ int main() {
     }
     smart::bench::finish(table, std::string("fig10_") + app,
                          std::string("Figure 10: ") + app + "  [S=" +
-                             smart::format_seconds(m.sim_per_step) + "/step, A=" +
-                             smart::format_seconds(m.ana_per_step) + "/step, sync=" +
-                             smart::format_seconds(m.sync_per_step) + "/step]");
+                             smart::format_seconds(m.sim_seconds_per_step) + "/step, A=" +
+                             smart::format_seconds(m.ana_seconds_per_step) + "/step, sync=" +
+                             smart::format_seconds(m.sync_seconds_per_step) + "/step]");
+    std::cout << "advisor (" << app << "): " << advise_mode(m, node).to_string() << "\n";
   }
 
   const double mechanics = real_space_sharing_wall();

@@ -39,7 +39,9 @@ for arg in "$@"; do
 done
 
 echo "== tier-1: build =="
-cmake -B "$repo/build" -S "$repo" >/dev/null
+# Warnings are errors here: the Release and RelWithDebInfo builds are
+# warning-free, and a new warning should fail CI rather than pile up.
+cmake -B "$repo/build" -S "$repo" -DSMART_WERROR=ON >/dev/null
 cmake --build "$repo/build" -j "$jobs"
 
 echo "== tier-1: ctest =="
@@ -79,6 +81,50 @@ assert starts & ends, "no matched send->recv flow pair"
 print(f"   trace ok: {len(events)} events, span ranks {sorted(span_ranks)}, "
       f"{len(starts & ends)} matched flow pair(s)")
 EOF
+
+echo "== tier-1: phase CSV export =="
+# --phase-csv writes the scheduler's phases (complete "sched" spans from the
+# trace collector) as RFC-4180 CSV: the header must be exact, every row must
+# have five fields, and a 4-rank x 2-thread run must show all three
+# combination phases from more than one thread.
+phase_csv="$repo/build/check_phases.csv"
+"$repo/build/examples/smart_cli" --sim heat3d --app histogram --ranks 4 \
+  --threads 2 --steps 3 --phase-csv "$phase_csv" >/dev/null
+python3 - "$phase_csv" <<'EOF'
+import csv, sys
+with open(sys.argv[1], newline="") as f:
+    rows = list(csv.reader(f))
+header = ["phase", "thread", "begin_s", "end_s", "duration_s"]
+assert rows and rows[0] == header, f"bad header: {rows[:1]}"
+body = rows[1:]
+short = [r for r in body if len(r) != 5]
+assert not short, f"{len(short)} row(s) without five fields, e.g. {short[0]}"
+phases = {r[0] for r in body}
+missing = {"reduction", "local_combine", "global_combine"} - phases
+assert not missing, f"phases missing from the CSV: {sorted(missing)}"
+threads = {r[1] for r in body}
+assert len(threads) >= 2, f"phase rows from one thread only: {threads}"
+print(f"   phase CSV ok: {len(body)} rows, {len(phases)} phases, "
+      f"{len(threads)} threads")
+EOF
+
+echo "== tier-1: src surface guard =="
+# Every header under src/ needs an includer outside tests/ (its own .cpp
+# does not count): a module that only tests reach is wired into a runtime
+# caller or deleted, not left in the library.
+orphans=()
+while IFS= read -r header; do
+  rel="${header#"$repo/src/"}"
+  includers="$(grep -rlF --include='*.h' --include='*.cpp' "#include \"$rel\"" \
+    "$repo/src" "$repo/bench" "$repo/examples" "$repo/perfbench" "$repo/scripts" || true)"
+  includers="$(grep -vxF "${header%.h}.cpp" <<< "$includers" || true)"
+  [[ -n "$includers" ]] || orphans+=("src/$rel")
+done < <(find "$repo/src" -name '*.h' | sort)
+if (( ${#orphans[@]} > 0 )); then
+  printf 'header with no includer outside tests/: %s\n' "${orphans[@]}" >&2
+  exit 1
+fi
+echo "   src surface ok: every header under src/ has an includer outside tests/"
 
 echo "== tier-1: transport trace validation (8-rank bcast) =="
 # An 8-rank run drives the tree allreduce through bcast_shared; the trace

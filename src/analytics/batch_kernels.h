@@ -306,7 +306,7 @@ inline void accumulate_moments(const In* x, std::size_t n, double& sum, double& 
 }
 
 /// Plain running sum over n contiguous values, scalar chain order (the
-/// grid/block aggregation accumulate).  Returned rather than written
+/// grid aggregation accumulate).  Returned rather than written
 /// through a pointer so the caller's += keeps its own order.
 template <class In>
 inline double accumulate_sum(const In* x, std::size_t n, double sum) {

@@ -207,64 +207,4 @@ std::vector<double> savitzky_golay(const double* data, std::size_t len, int wind
   return out;
 }
 
-std::vector<double> knn_smoother(const double* data, std::size_t len, std::size_t window,
-                                 std::size_t k) {
-  const std::size_t half = window / 2;
-  std::vector<double> out(len, 0.0);
-  std::vector<std::pair<double, double>> candidates;  // (distance, value)
-  for (std::size_t i = 0; i < len; ++i) {
-    const std::size_t lo = i >= half ? i - half : 0;
-    const std::size_t hi = std::min(i + half, len - 1);
-    candidates.clear();
-    for (std::size_t j = lo; j <= hi; ++j) {
-      candidates.emplace_back(std::abs(data[j] - data[i]), data[j]);
-    }
-    const std::size_t keep = std::min(k, candidates.size());
-    std::partial_sort(candidates.begin(), candidates.begin() + static_cast<std::ptrdiff_t>(keep),
-                      candidates.end());
-    double sum = 0.0;
-    for (std::size_t c = 0; c < keep; ++c) sum += candidates[c].second;
-    out[i] = sum / static_cast<double>(keep);
-  }
-  return out;
-}
-
-std::vector<double> block_aggregation(const double* data, std::size_t nx, std::size_t ny,
-                                      std::size_t nz, std::size_t bx, std::size_t by,
-                                      std::size_t bz) {
-  const std::size_t gx = nx / bx, gy = ny / by, gz = nz / bz;
-  std::vector<double> sums(gx * gy * gz, 0.0);
-  for (std::size_t z = 0; z < nz; ++z) {
-    for (std::size_t y = 0; y < ny; ++y) {
-      for (std::size_t x = 0; x < nx; ++x) {
-        const std::size_t block = (z / bz * gy + y / by) * gx + x / bx;
-        sums[block] += data[(z * ny + y) * nx + x];
-      }
-    }
-  }
-  const double per_block = static_cast<double>(bx * by * bz);
-  for (auto& s : sums) s /= per_block;
-  return sums;
-}
-
-std::vector<double> moving_average_2d(const double* data, std::size_t nx, std::size_t ny,
-                                      std::size_t window) {
-  const std::size_t half = window / 2;
-  std::vector<double> out(nx * ny, 0.0);
-  for (std::size_t y = 0; y < ny; ++y) {
-    for (std::size_t x = 0; x < nx; ++x) {
-      const std::size_t x_lo = x >= half ? x - half : 0;
-      const std::size_t x_hi = std::min(x + half, nx - 1);
-      const std::size_t y_lo = y >= half ? y - half : 0;
-      const std::size_t y_hi = std::min(y + half, ny - 1);
-      double sum = 0.0;
-      for (std::size_t cy = y_lo; cy <= y_hi; ++cy) {
-        for (std::size_t cx = x_lo; cx <= x_hi; ++cx) sum += data[cy * nx + cx];
-      }
-      out[y * nx + x] = sum / static_cast<double>((x_hi - x_lo + 1) * (y_hi - y_lo + 1));
-    }
-  }
-  return out;
-}
-
 }  // namespace smart::analytics::ref

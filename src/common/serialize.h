@@ -421,8 +421,12 @@ class Writer {
 
   /// Raw bytes, no length prefix.
   void write_bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const std::byte*>(data);
-    out_.insert(out_.end(), p, p + n);
+    // resize + memcpy rather than a range insert: GCC 12 cannot prove the
+    // insert's memmove non-null and in bounds, and warns at every caller.
+    if (n == 0) return;
+    const std::size_t at = out_.size();
+    out_.resize(at + n);
+    std::memcpy(out_.data() + at, data, n);
   }
 
   /// Current end-of-buffer offset; pass to patch() to overwrite a

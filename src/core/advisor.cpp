@@ -1,5 +1,6 @@
 #include "core/advisor.h"
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 
@@ -17,6 +18,18 @@ std::string ModeRecommendation::to_string() const {
   return os.str();
 }
 
+double time_sharing_seconds(const ModeCosts& costs, const NodeModel& node) {
+  return costs.sim_seconds_per_step / node.sim_speedup(node.cores) +
+         costs.ana_seconds_per_step / node.ana_speedup(node.cores) + costs.sync_seconds_per_step;
+}
+
+double space_sharing_seconds(const ModeCosts& costs, const NodeModel& node, int sim_cores) {
+  const double sim_lane = costs.sim_seconds_per_step / node.sim_speedup(sim_cores);
+  const double ana_lane = costs.ana_seconds_per_step / node.ana_speedup(node.cores - sim_cores) +
+                          node.space_sync_factor * costs.sync_seconds_per_step;
+  return std::max(sim_lane, ana_lane);
+}
+
 ModeRecommendation advise_mode(const ModeCosts& costs, const NodeModel& node,
                                int min_cores_per_side) {
   if (node.cores < 2 * min_cores_per_side) {
@@ -27,22 +40,16 @@ ModeRecommendation advise_mode(const ModeCosts& costs, const NodeModel& node,
   }
 
   ModeRecommendation rec;
-  rec.time_sharing_seconds = costs.sim_seconds_per_step / node.sim_speedup(node.cores) +
-                             costs.ana_seconds_per_step / node.ana_speedup(node.cores) +
-                             costs.sync_seconds_per_step;
+  rec.time_sharing_seconds = time_sharing_seconds(costs, node);
 
   rec.best_space_seconds = std::numeric_limits<double>::max();
   for (int sim_cores = min_cores_per_side; sim_cores <= node.cores - min_cores_per_side;
        ++sim_cores) {
-    const int ana_cores = node.cores - sim_cores;
-    const double sim_lane = costs.sim_seconds_per_step / node.sim_speedup(sim_cores);
-    const double ana_lane = costs.ana_seconds_per_step / node.ana_speedup(ana_cores) +
-                            node.space_sync_factor * costs.sync_seconds_per_step;
-    const double t = std::max(sim_lane, ana_lane);
+    const double t = space_sharing_seconds(costs, node, sim_cores);
     if (t < rec.best_space_seconds) {
       rec.best_space_seconds = t;
       rec.sim_cores = sim_cores;
-      rec.analytics_cores = ana_cores;
+      rec.analytics_cores = node.cores - sim_cores;
     }
   }
   rec.mode = rec.best_space_seconds < rec.time_sharing_seconds

@@ -5,9 +5,9 @@
 //
 // Given measured per-step costs (simulation compute, analytics compute,
 // synchronization) and the node's scaling curves, the advisor evaluates
-// time sharing against every candidate core split and recommends a mode —
-// the calculation the Figure 10 harness performs, packaged as a library
-// facility a deployment can call after a few profiled steps.
+// time sharing against every candidate core split and recommends a mode.
+// The Figure 10 harness prices its rows with the same two cost functions,
+// and a deployment can call advise_mode after a few profiled steps.
 #pragma once
 
 #include <cstddef>
@@ -47,6 +47,15 @@ struct ModeRecommendation {
   }
   std::string to_string() const;
 };
+
+/// Seconds per step under time sharing: the simulation and the analytics
+/// each take all of the node's cores in turn, then synchronize.
+double time_sharing_seconds(const ModeCosts& costs, const NodeModel& node);
+
+/// Seconds per step under space sharing with `sim_cores` of the node's
+/// cores on the simulation and the rest on the analytics: the slower of
+/// the two concurrent lanes, the analytics lane paying the inflated sync.
+double space_sharing_seconds(const ModeCosts& costs, const NodeModel& node, int sim_cores);
 
 /// Evaluates time sharing vs every (sim_cores, ana_cores) split with both
 /// counts >= min_cores_per_side and recommends the cheaper mode.

@@ -26,7 +26,7 @@ struct Chunk {
 /// chunk starts, so chunk i covers [start + i*chunk_len, +chunk_len)).
 /// Carrying the base offset and stride — rather than materializing per-chunk
 /// records — keeps the batch a zero-copy window into the simulation slab
-/// and preserves the positional information structural apps (grid/block
+/// and preserves the positional information structural apps (grid
 /// aggregation, windows) key on.
 ///
 /// The ragged tail chunk (length < chunk_size) is never part of a batch;

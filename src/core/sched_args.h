@@ -7,8 +7,6 @@
 
 namespace smart {
 
-class PhaseTracer;  // common/trace.h
-
 /// The paper's SchedArgs(num_threads, chunk_size, extra_data, num_iters).
 struct SchedArgs {
   SchedArgs(int num_threads_in, std::size_t chunk_size_in,
@@ -105,13 +103,6 @@ struct RunOptions {
 
   /// Cells in the space-sharing circular buffer (paper Figure 4).
   std::size_t buffer_cells = 4;
-
-  /// Optional per-phase CSV recorder (common/trace.h): when set, the
-  /// scheduler records reduction / local_combine / global_combine / copy
-  /// intervals into it alongside the obs trace spans, so examples and
-  /// benches can dump the PhaseTracer timeline (`--phase-csv`) without
-  /// enabling full tracing.  Not owned; must outlive the scheduler.
-  PhaseTracer* phase_tracer = nullptr;
 };
 
 /// Fault-tolerance knobs for long-lived in-situ runs (Scheduler::

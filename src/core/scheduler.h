@@ -60,7 +60,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -68,7 +67,6 @@
 
 #include "common/memory_tracker.h"
 #include "common/timing.h"
-#include "common/trace.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "core/checkpoint_io.h"
@@ -87,21 +85,6 @@ namespace detail {
 /// Key currently being accumulated; lets position-aware apps (kernel
 /// density estimation) recover the window center inside accumulate().
 inline thread_local int t_current_key = 0;
-
-/// One scheduler phase observed through both sinks at once: an obs trace
-/// span (timeline export) and, when RunOptions::phase_tracer is set, a
-/// PhaseTracer interval (per-phase CSV).  Costs one branch per sink when
-/// neither is active.
-struct SchedPhaseScope {
-  obs::TraceSpan span;
-  std::optional<PhaseTracer::Scope> csv;
-
-  SchedPhaseScope(const char* name, PhaseTracer* tracer,
-                  std::initializer_list<obs::TraceArg> args = {})
-      : span(name, "sched", args) {
-    if (tracer != nullptr) csv.emplace(*tracer, name);
-  }
-};
 }  // namespace detail
 
 /// One worker's reduction map during a reduction phase, as handed to
@@ -238,11 +221,6 @@ class Scheduler {
   /// death has been detected — i.e. while every rank participates).
   const std::vector<int>& surviving_ranks() const { return survivors_; }
 
-  /// Installs (or clears, with nullptr) the per-phase CSV recorder; see
-  /// RunOptions::phase_tracer.
-  void set_phase_tracer(PhaseTracer* tracer) { opts_.phase_tracer = tracer; }
-  PhaseTracer* phase_tracer() const { return opts_.phase_tracer; }
-
   const RunOptions& options() const { return opts_; }
 
   const CombinationMap& get_combination_map() const { return combination_map_; }
@@ -268,8 +246,8 @@ class Scheduler {
   /// Copies one time-step's output into a circular-buffer cell; blocks
   /// while all cells are in use (paper Figure 4's producer side).
   void feed(const In* in, std::size_t in_len) {
-    detail::SchedPhaseScope phase("feed_copy", opts_.phase_tracer,
-                                  {{"bytes", static_cast<std::int64_t>(in_len * sizeof(In))}});
+    obs::TraceSpan phase("feed_copy", "sched",
+                         {{"bytes", static_cast<std::int64_t>(in_len * sizeof(In))}});
     ThreadCpuTimer timer;
     FeedCell cell;
     cell.data.assign(in, in + in_len);
@@ -499,8 +477,8 @@ class Scheduler {
     if (opts_.copy_input) {
       // The Figure 9 comparison variant: materialize a private copy of the
       // simulation output before analyzing it.
-      detail::SchedPhaseScope phase("copy_input", opts_.phase_tracer,
-                                    {{"bytes", static_cast<std::int64_t>(in_len * sizeof(In))}});
+      obs::TraceSpan phase("copy_input", "sched",
+                           {{"bytes", static_cast<std::int64_t>(in_len * sizeof(In))}});
       ThreadCpuTimer timer;
       copy.assign(in, in + in_len);
       copy_charge =
@@ -532,15 +510,15 @@ class Scheduler {
     for (int iter = 0; iter < args_.num_iters; ++iter) {
       distribute_combination_map();
       {
-        detail::SchedPhaseScope phase("reduction", opts_.phase_tracer, {{"iter", iter}});
+        obs::TraceSpan phase("reduction", "sched", {{"iter", iter}});
         reduction_phase(data, num_chunks, tail_len, multi_key);
       }
       {
-        detail::SchedPhaseScope phase("local_combine", opts_.phase_tracer, {{"iter", iter}});
+        obs::TraceSpan phase("local_combine", "sched", {{"iter", iter}});
         local_combination();
       }
       if (global_combination_ && comm != nullptr && comm->size() > 1) {
-        detail::SchedPhaseScope phase("global_combine", opts_.phase_tracer, {{"iter", iter}});
+        obs::TraceSpan phase("global_combine", "sched", {{"iter", iter}});
         global_combination(*comm);
       }
       post_combine(combination_map_);

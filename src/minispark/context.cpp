@@ -35,7 +35,7 @@ void SparkContext::service_loop(int /*id*/) {
   while (!shutdown_.load(std::memory_order_relaxed)) {
     const auto start = clock::now();
     volatile double sink = 0.0;
-    while (clock::now() - start < busy_span) sink += 1.0;
+    while (clock::now() - start < busy_span) sink = sink + 1.0;
     (void)sink;
     std::this_thread::sleep_for(period - busy_span);
   }

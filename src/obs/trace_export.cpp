@@ -108,6 +108,25 @@ bool write_chrome_trace_file(const std::string& path, const std::vector<TraceEve
   return os.good();
 }
 
+void write_phase_csv(std::ostream& os, const std::vector<TraceEvent>& events) {
+  os << "phase,thread,begin_s,end_s,duration_s\n";
+  for (const TraceEvent& e : events) {
+    if (e.type != TraceEvent::Type::kComplete || e.cat != "sched") continue;
+    if (e.name.find_first_of(",\"\r\n") == std::string::npos) {
+      os << e.name;
+    } else {
+      os << '"';
+      for (const char c : e.name) {
+        if (c == '"') os << '"';  // RFC 4180: embedded quotes double up
+        os << c;
+      }
+      os << '"';
+    }
+    os << ',' << e.tid << ',' << e.ts_us / 1e6 << ',' << (e.ts_us + e.dur_us) / 1e6 << ','
+       << e.dur_us / 1e6 << '\n';
+  }
+}
+
 void serialize_events(Writer& w, const std::vector<TraceEvent>& events) {
   w.write<std::uint64_t>(events.size());
   for (const TraceEvent& e : events) {

@@ -1,5 +1,6 @@
 // Chrome trace-event / Perfetto JSON export for obs::TraceEvent streams,
-// plus the byte-level codec the rank-0 gather uses to ship events.
+// a per-phase CSV export of the scheduler's spans, plus the byte-level
+// codec the rank-0 gather uses to ship events.
 //
 // The timeline maps pid=rank and tid=dense thread id, with "process_name"
 // metadata per rank, so ui.perfetto.dev (or chrome://tracing) renders a
@@ -30,6 +31,13 @@ void write_chrome_trace(std::ostream& os, const std::vector<TraceEvent>& events,
 /// write_chrome_trace to a file; returns false if the file cannot be opened.
 bool write_chrome_trace_file(const std::string& path, const std::vector<TraceEvent>& events,
                              std::size_t dropped_events = 0);
+
+/// Writes the scheduler phases among `events` (complete events of category
+/// "sched") as CSV: phase,thread,begin_s,end_s,duration_s, with thread the
+/// event's dense tid and times in seconds from the collector's origin.
+/// Phase names are quoted per RFC 4180 when they contain a comma, quote or
+/// newline, so every row parses back into five fields.
+void write_phase_csv(std::ostream& os, const std::vector<TraceEvent>& events);
 
 /// A Chrome trace-event document read back into TraceEvent form.
 struct ChromeTrace {

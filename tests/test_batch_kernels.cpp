@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "analytics/batch_kernels.h"
-#include "analytics/block_aggregation.h"
 #include "analytics/grid_aggregation.h"
 #include "analytics/histogram.h"
 #include "analytics/kmeans.h"
@@ -627,24 +626,6 @@ TEST(BatchedExactness, GridAggregationWithRaggedTail) {
   }
 }
 
-TEST(BatchedExactness, BlockAggregationBitForBit) {
-  Rng rng(914);
-  BlockAggregation<double>::Shape shape;
-  shape.nx = 16; shape.ny = 8; shape.nz = 4;
-  shape.bx = 4;  shape.by = 4; shape.bz = 2;
-  std::vector<double> data(shape.nx * shape.ny * shape.nz);
-  for (auto& x : data) x = rng.gaussian(3.0, 2.0);
-  auto run_block = [&](int threads, std::size_t batch_chunks) {
-    BlockAggregation<double> block(SchedArgs(threads, 1), shape, with_batch(batch_chunks));
-    std::vector<double> out(block.num_blocks(), 0.0);
-    block.run(data.data(), data.size(), out.data(), out.size());
-    return out;
-  };
-  for (const int threads : {1, 3}) {
-    EXPECT_EQ(run_block(threads, 0), run_block(threads, 64)) << "threads=" << threads;
-  }
-}
-
 // --- batch 0 == batch 64 on a Heat3D slab, every thread count and split -----
 
 // A Heat3D 32x32x64 slab after 200 steps: a hot quarter near the heated
@@ -722,17 +703,6 @@ std::vector<double> heat_grid(const std::vector<double>& slab, int threads,
   return out;
 }
 
-std::vector<double> heat_blocks(const std::vector<double>& slab, int threads,
-                                const RunOptions& opts) {
-  BlockAggregation<double>::Shape shape;
-  shape.nx = 32; shape.ny = 32; shape.nz = 64;
-  shape.bx = 8;  shape.by = 4;  shape.bz = 8;
-  BlockAggregation<double> block(SchedArgs(threads, 1), shape, opts);
-  std::vector<double> out(block.num_blocks(), 0.0);
-  block.run(slab.data(), slab.size(), out.data(), out.size());
-  return out;
-}
-
 TEST(HeatSlabBatching, KMeansCentroidsBitForBit) {
   const auto slab = heat_slab();
   expect_batch_invariant(slab, false, heat_kmeans);
@@ -754,12 +724,6 @@ TEST(HeatSlabBatching, GridAggregationBitForBit) {
   const auto slab = heat_slab();
   expect_batch_invariant(slab, false, heat_grid);
   expect_batch_invariant(dyadic(slab), true, heat_grid);
-}
-
-TEST(HeatSlabBatching, BlockAggregationBitForBit) {
-  const auto slab = heat_slab();
-  expect_batch_invariant(slab, false, heat_blocks);
-  expect_batch_invariant(dyadic(slab), true, heat_blocks);
 }
 
 TEST(HeatSlabBatching, ReusedSchedulerMatchesFreshOne) {

@@ -22,7 +22,7 @@ TEST(Timing, WallTimerAdvances) {
 TEST(Timing, ThreadCpuTimerCountsWork) {
   ThreadCpuTimer t;
   volatile double sink = 0.0;
-  for (int i = 0; i < 2000000; ++i) sink += static_cast<double>(i) * 1e-9;
+  for (int i = 0; i < 2000000; ++i) sink = sink + static_cast<double>(i) * 1e-9;
   EXPECT_GT(t.seconds(), 0.0);
   (void)sink;
 }
@@ -52,7 +52,7 @@ TEST(Timing, ScopedChargeAccumulates) {
   {
     ScopedCharge charge(ledger, 0);
     volatile double sink = 0.0;
-    for (int i = 0; i < 500000; ++i) sink += 1.0;
+    for (int i = 0; i < 500000; ++i) sink = sink + 1.0;
     (void)sink;
   }
   EXPECT_GT(ledger.lane_busy(0), 0.0);

@@ -1,6 +1,6 @@
 // Observability subsystem tests: JSON escaping, Chrome-trace export, flow
 // pairing across simmpi ranks, the rank-0 gathers (including a dead rank),
-// metric semantics, and the RunStats dumpers.
+// metric semantics, the RunStats dumpers and the per-phase CSV export.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -12,10 +12,10 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analytics/histogram.h"
-#include "common/trace.h"
 #include "core/run_stats.h"
 #include "obs/gather.h"
 #include "obs/json.h"
@@ -574,12 +574,157 @@ TEST(RunStats, JsonAndCsvDumpersAgree) {
   EXPECT_EQ(row.str().back(), '\n');
 }
 
-// --- scheduler phase-tracer wiring -----------------------------------------
+// --- per-phase CSV export ---------------------------------------------------
 
-TEST(PhaseTracer, SchedulerRecordsPhasesInto) {
-  PhaseTracer tracer;
+/// Splits RFC 4180 CSV text into rows of fields; quoted fields may hold
+/// commas, doubled quotes and newlines.
+std::vector<std::vector<std::string>> parse_csv(const std::string& text) {
+  std::vector<std::vector<std::string>> rows;
+  std::vector<std::string> row;
+  std::string field;
+  bool quoted = false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (quoted) {
+      if (c != '"') {
+        field += c;
+      } else if (i + 1 < text.size() && text[i + 1] == '"') {
+        field += '"';
+        ++i;
+      } else {
+        quoted = false;
+      }
+    } else if (c == '"') {
+      quoted = true;
+    } else if (c == ',' || c == '\n') {
+      row.push_back(std::move(field));
+      field.clear();
+      if (c == '\n') rows.push_back(std::exchange(row, {}));
+    } else {
+      field += c;
+    }
+  }
+  return rows;
+}
+
+struct PhaseRow {
+  std::string phase;
+  std::size_t thread = 0;
+  double begin = 0.0, end = 0.0, duration = 0.0;
+};
+
+/// write_phase_csv over `events`, parsed back.  The header must be exact
+/// and every row must have its five fields.
+std::vector<PhaseRow> phase_rows(const std::vector<obs::TraceEvent>& events) {
+  std::ostringstream os;
+  obs::write_phase_csv(os, events);
+  const auto rows = parse_csv(os.str());
+  std::vector<PhaseRow> out;
+  EXPECT_FALSE(rows.empty());
+  if (rows.empty()) return out;
+  EXPECT_EQ(rows.front(),
+            (std::vector<std::string>{"phase", "thread", "begin_s", "end_s", "duration_s"}));
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].size(), 5u) << "row " << i;
+    if (rows[i].size() != 5) continue;
+    out.push_back({rows[i][0], std::stoul(rows[i][1]), std::stod(rows[i][2]),
+                   std::stod(rows[i][3]), std::stod(rows[i][4])});
+  }
+  return out;
+}
+
+double total(const std::vector<PhaseRow>& rows, const std::string& phase) {
+  double sum = 0.0;
+  for (const auto& r : rows) {
+    if (r.phase == phase) sum += r.duration;
+  }
+  return sum;
+}
+
+TEST(PhaseCsv, RecordsScopedIntervals) {
+  ObsTestGuard guard;
+  obs::TraceCollector::instance().set_enabled(true);
+  {
+    obs::TraceSpan s("reduction", "sched");
+    volatile double sink = 0.0;
+    for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
+    (void)sink;
+  }
+  {
+    obs::TraceSpan s("combination", "sched");
+  }
+  const auto rows = phase_rows(obs::TraceCollector::instance().snapshot_events());
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].phase, "reduction");
+  EXPECT_GT(rows[0].duration, 0.0);
+  EXPECT_GE(rows[1].begin, rows[0].end);
+  EXPECT_GT(total(rows, "reduction"), 0.0);
+  EXPECT_DOUBLE_EQ(total(rows, "missing"), 0.0);
+}
+
+TEST(PhaseCsv, AssignsDistinctThreadIds) {
+  ObsTestGuard guard;
+  obs::TraceCollector::instance().set_enabled(true);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([] { obs::TraceSpan s("work", "sched"); });
+  }
+  for (auto& t : threads) t.join();
+  const auto rows = phase_rows(obs::TraceCollector::instance().snapshot_events());
+  ASSERT_EQ(rows.size(), 3u);
+  std::set<std::size_t> ids;
+  for (const auto& r : rows) ids.insert(r.thread);
+  EXPECT_EQ(ids.size(), 3u);
+}
+
+TEST(PhaseCsv, DumpsSchedSpansInSeconds) {
+  ObsTestGuard guard;
+  auto& tc = obs::TraceCollector::instance();
+  tc.set_enabled(true);
+  tc.complete("alpha", "sched", 0.0, 1.5e6);
+  tc.complete("not_a_phase", "test", 0.0, 1.0);  // other categories stay out
+  tc.instant("also_not", "sched");
+  const auto events = tc.snapshot_events();
+  ASSERT_EQ(events.size(), 3u);
+  std::ostringstream os;
+  obs::write_phase_csv(os, events);
+  EXPECT_EQ(os.str(), "phase,thread,begin_s,end_s,duration_s\nalpha," +
+                          std::to_string(events.front().tid) + ",0,1.5,1.5\n");
+  tc.clear();
+  std::ostringstream empty;
+  obs::write_phase_csv(empty, tc.snapshot_events());
+  EXPECT_EQ(empty.str(), "phase,thread,begin_s,end_s,duration_s\n");
+}
+
+TEST(PhaseCsv, QuotesSpecialCharacters) {
+  ObsTestGuard guard;
+  auto& tc = obs::TraceCollector::instance();
+  tc.set_enabled(true);
+  const std::vector<std::string> names = {"plain", "step 3, flush", "say \"go\"", "two\nlines",
+                                          "a, \"b\"\nc"};
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    tc.complete(names[i], "sched", 1e6 * static_cast<double>(i), 1e6);
+  }
+  const auto events = tc.snapshot_events();
+  std::ostringstream os;
+  obs::write_phase_csv(os, events);
+  const std::string csv = os.str();
+
+  EXPECT_NE(csv.find("\nplain,"), std::string::npos);  // simple names stay bare
+  EXPECT_NE(csv.find("\"step 3, flush\","), std::string::npos);
+  EXPECT_NE(csv.find("\"say \"\"go\"\"\","), std::string::npos);
+  EXPECT_NE(csv.find("\"two\nlines\","), std::string::npos);
+  // Every name, the one holding a comma, a quote and a newline included,
+  // parses back to itself in a five-field row.
+  const auto rows = phase_rows(events);
+  ASSERT_EQ(rows.size(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) EXPECT_EQ(rows[i].phase, names[i]);
+}
+
+TEST(PhaseCsv, SchedulerPhasesReachTheCsv) {
+  ObsTestGuard guard;
+  obs::TraceCollector::instance().set_enabled(true);
   analytics::Histogram<double> hist(SchedArgs(2, 1), 0.0, 1.0, 16);
-  hist.set_phase_tracer(&tracer);
   std::vector<double> data(4096);
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<double>(i) / static_cast<double>(data.size());
@@ -587,32 +732,32 @@ TEST(PhaseTracer, SchedulerRecordsPhasesInto) {
   hist.run(data.data(), data.size(), nullptr, 0);
 
   std::set<std::string> phases;
-  for (const auto& e : tracer.events()) phases.insert(e.phase);
+  for (const auto& r : phase_rows(obs::TraceCollector::instance().snapshot_events())) {
+    phases.insert(r.phase);
+  }
   EXPECT_TRUE(phases.count("reduction") > 0) << "phases recorded: " << phases.size();
   EXPECT_TRUE(phases.count("local_combine") > 0);
-
-  std::ostringstream csv;
-  tracer.dump_csv(csv);
-  EXPECT_NE(csv.str().find("phase,thread,begin_s,end_s,duration_s"), std::string::npos);
-  EXPECT_NE(csv.str().find("reduction"), std::string::npos);
 }
 
-TEST(PhaseTracer, DenseThreadIdsAreDenseAcrossConcurrentThreads) {
-  PhaseTracer tracer;
-  // Three concurrently-live threads (the latch keeps them alive together, so
-  // std::thread::id cannot be recycled): dense ids must come out {0, 1, 2}.
+TEST(PhaseCsv, ConcurrentThreadsGetDistinctIds) {
+  ObsTestGuard guard;
+  obs::TraceCollector::instance().set_enabled(true);
+  // Three concurrently-live threads (the latch keeps them alive together):
+  // each records under its own thread id.
   std::latch ready(3);
   std::vector<std::thread> threads;
   for (int i = 0; i < 3; ++i) {
-    threads.emplace_back([&tracer, &ready] {
+    threads.emplace_back([&ready] {
       ready.arrive_and_wait();
-      auto s = tracer.scope("work");
+      obs::TraceSpan s("work", "sched");
     });
   }
   for (auto& t : threads) t.join();
   std::set<std::size_t> ids;
-  for (const auto& e : tracer.events()) ids.insert(e.thread_id);
-  EXPECT_EQ(ids, (std::set<std::size_t>{0, 1, 2}));
+  for (const auto& r : phase_rows(obs::TraceCollector::instance().snapshot_events())) {
+    ids.insert(r.thread);
+  }
+  EXPECT_EQ(ids.size(), 3u);
 }
 
 }  // namespace

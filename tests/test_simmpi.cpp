@@ -254,7 +254,9 @@ TEST_P(CollectiveRanks, ReduceConcatenatesAssociatively) {
 INSTANTIATE_TEST_SUITE_P(RankCounts, CollectiveRanks, ::testing::Values(1, 2, 3, 4, 5, 8));
 
 TEST(VirtualTime, MessageDeliveryAdvancesReceiverClock) {
-  const NetworkConfig slow{.alpha_seconds = 0.5, .beta_bytes_per_second = 1e9};
+  NetworkConfig slow;
+  slow.alpha_seconds = 0.5;
+  slow.beta_bytes_per_second = 1e9;
   LaunchStats stats = launch(
       2,
       [](Communicator& comm) {

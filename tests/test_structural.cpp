@@ -1,18 +1,14 @@
-// Tests for the structural analytics (3-D block aggregation, 2-D windowed
-// moving average), the dynamic-chunking scheduler option, and the offline
+// Tests for the dynamic-chunking scheduler option and the offline
 // BlockReader.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
-#include "analytics/block_aggregation.h"
 #include "analytics/histogram.h"
 #include "analytics/moving_average.h"
-#include "analytics/moving_average_2d.h"
 #include "analytics/reference.h"
 #include "baselines/offline.h"
 #include "common/rng.h"
-#include "sim/heat3d.h"
 
 namespace smart {
 namespace {
@@ -24,111 +20,6 @@ std::vector<double> random_slab(std::size_t n, std::uint64_t seed) {
   std::vector<double> v(n);
   for (auto& x : v) x = rng.uniform(0.0, 100.0);
   return v;
-}
-
-// --- 3-D block aggregation -----------------------------------------------------
-
-class BlockAggSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(BlockAggSweep, MatchesReferenceOnRandomSlab) {
-  const int threads = GetParam();
-  const std::size_t nx = 16, ny = 12, nz = 8;
-  const auto data = random_slab(nx * ny * nz, 501);
-  BlockAggregation<double>::Shape shape{.nx = nx, .ny = ny, .nz = nz, .bx = 4, .by = 3, .bz = 2};
-  BlockAggregation<double> agg(SchedArgs(threads, 1), shape);
-  ASSERT_EQ(agg.num_blocks(), 4u * 4u * 4u);
-  std::vector<double> out(agg.num_blocks(), 0.0);
-  agg.run(data.data(), data.size(), out.data(), out.size());
-  const auto expected = ref::block_aggregation(data.data(), nx, ny, nz, 4, 3, 2);
-  for (std::size_t i = 0; i < out.size(); ++i) ASSERT_NEAR(out[i], expected[i], 1e-9) << i;
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, BlockAggSweep, ::testing::Values(1, 2, 4, 8));
-
-TEST(BlockAggregation, DownsamplesLiveHeat3D) {
-  sim::Heat3D heat({.nx = 16, .ny = 16, .nz_local = 8}, nullptr);
-  for (int s = 0; s < 15; ++s) heat.step();
-  BlockAggregation<double>::Shape shape{.nx = 16, .ny = 16, .nz = 8, .bx = 4, .by = 4, .bz = 2};
-  BlockAggregation<double> agg(SchedArgs(2, 1), shape);
-  std::vector<double> out(agg.num_blocks(), 0.0);
-  agg.run(heat.output(), heat.output_len(), out.data(), out.size());
-  const auto expected = ref::block_aggregation(heat.output(), 16, 16, 8, 4, 4, 2);
-  for (std::size_t i = 0; i < out.size(); ++i) ASSERT_NEAR(out[i], expected[i], 1e-12);
-  // Physical sanity: with a hot bottom plane, bottom-layer blocks are
-  // warmer on average than top-layer blocks.
-  double bottom = 0.0, top = 0.0;
-  for (std::size_t i = 0; i < 16; ++i) {
-    bottom += out[i];
-    top += out[out.size() - 16 + i];
-  }
-  EXPECT_GT(bottom, top);
-}
-
-TEST(BlockAggregation, RejectsNonTilingBlocks) {
-  BlockAggregation<double>::Shape bad{.nx = 10, .ny = 10, .nz = 10, .bx = 3, .by = 2, .bz = 2};
-  EXPECT_THROW(BlockAggregation<double>(SchedArgs(1, 1), bad), std::invalid_argument);
-  BlockAggregation<double>::Shape zero{.nx = 0, .ny = 4, .nz = 4, .bx = 1, .by = 1, .bz = 1};
-  EXPECT_THROW(BlockAggregation<double>(SchedArgs(1, 1), zero), std::invalid_argument);
-}
-
-TEST(BlockAggregation, TrivialBlocksAreIdentity) {
-  const auto data = random_slab(4 * 4 * 4, 502);
-  BlockAggregation<double>::Shape shape{.nx = 4, .ny = 4, .nz = 4, .bx = 1, .by = 1, .bz = 1};
-  BlockAggregation<double> agg(SchedArgs(2, 1), shape);
-  std::vector<double> out(64, 0.0);
-  agg.run(data.data(), data.size(), out.data(), out.size());
-  for (std::size_t i = 0; i < 64; ++i) EXPECT_DOUBLE_EQ(out[i], data[i]);
-}
-
-// --- 2-D moving average -----------------------------------------------------------
-
-class MovingAvg2DSweep : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {};
-
-TEST_P(MovingAvg2DSweep, MatchesReference) {
-  const auto [threads, window] = GetParam();
-  const std::size_t nx = 24, ny = 18;
-  const auto data = random_slab(nx * ny, 503);
-  MovingAverage2D<double> ma(SchedArgs(threads, 1), nx, ny, window);
-  std::vector<double> out(data.size(), 0.0);
-  ma.run2(data.data(), data.size(), out.data(), out.size());
-  const auto expected = ref::moving_average_2d(data.data(), nx, ny, window);
-  for (std::size_t i = 0; i < out.size(); ++i) ASSERT_NEAR(out[i], expected[i], 1e-9) << i;
-}
-
-INSTANTIATE_TEST_SUITE_P(Params, MovingAvg2DSweep,
-                         ::testing::Combine(::testing::Values(1, 2, 4),
-                                            ::testing::Values(std::size_t{3}, std::size_t{5},
-                                                              std::size_t{9})));
-
-TEST(MovingAverage2D, ConstantPlaneIsFixedPoint) {
-  std::vector<double> plane(20 * 20, 7.5);
-  MovingAverage2D<double> ma(SchedArgs(2, 1), 20, 20, 5);
-  std::vector<double> out(plane.size(), 0.0);
-  ma.run2(plane.data(), plane.size(), out.data(), out.size());
-  for (double v : out) EXPECT_NEAR(v, 7.5, 1e-12);
-}
-
-TEST(MovingAverage2D, EarlyEmissionBoundsObjects) {
-  const std::size_t nx = 64, ny = 64;
-  const auto data = random_slab(nx * ny, 504);
-  MovingAverage2D<double> with_trigger(SchedArgs(2, 1), nx, ny, 5);
-  RunOptions off;
-  off.enable_trigger = false;
-  MovingAverage2D<double> without(SchedArgs(2, 1), nx, ny, 5, off);
-  std::vector<double> out(data.size(), 0.0);
-  with_trigger.run2(data.data(), data.size(), out.data(), out.size());
-  without.run2(data.data(), data.size(), out.data(), out.size());
-  EXPECT_GE(without.stats().peak_reduction_objects, nx * ny);
-  // 2-D split boundaries leave whole window-rows unresolved, so the bound
-  // is O(window * nx) per worker rather than O(window^2).
-  EXPECT_LT(with_trigger.stats().peak_reduction_objects, 3 * 5 * nx);
-  EXPECT_GT(with_trigger.stats().early_emissions, 0u);
-}
-
-TEST(MovingAverage2D, RejectsBadParameters) {
-  EXPECT_THROW(MovingAverage2D<double>(SchedArgs(1, 1), 8, 8, 4), std::invalid_argument);
-  EXPECT_THROW(MovingAverage2D<double>(SchedArgs(1, 1), 0, 8, 3), std::invalid_argument);
-  EXPECT_THROW(MovingAverage2D<double>(SchedArgs(1, 2), 8, 8, 3), std::invalid_argument);
 }
 
 // --- dynamic chunking ----------------------------------------------------------------
