@@ -131,7 +131,8 @@ BENCHMARK(BM_MapCodec)->Args({1, 100})->Args({0, 100})->Args({1, 10000})->Args({
 void BM_LocalCombine(benchmark::State& state) {
   // The scheduler's local-combination phase in isolation: 8 worker maps of
   // N buckets each fold into one, serially (worker-after-worker, the old
-  // path) or as the pool's binomial merge tree (parallel_local_combine).
+  // path) or as the pool's binomial merge tree (the scheduler's choice for
+  // more than one worker and at least kParallelCombineMinEntries entries).
   register_red_objs();
   const bool parallel = state.range(0) != 0;
   const int keys = static_cast<int>(state.range(1));

@@ -126,6 +126,25 @@ if (( ${#orphans[@]} > 0 )); then
 fi
 echo "   src surface ok: every header under src/ has an includer outside tests/"
 
+echo "== tier-1: RunOptions knob guard =="
+# Every RunOptions field needs an assignment (".field = ...") under src/ or
+# bench/ outside its own declaration: a knob that only tests set multiplies
+# the configurations every property test has to cover while no run uses it.
+sched_args="$repo/src/core/sched_args.h"
+knobs="$(awk '/^struct RunOptions \{/ { on = 1; next } on && /^\};/ { exit }
+  on && /^  [A-Za-z_:]+ [a-z_]+( = [^;]*)?;/ { sub(/;.*/, "", $2); print $2 }' "$sched_args")"
+[[ -n "$knobs" ]] || { echo "knob guard found no RunOptions fields in $sched_args" >&2; exit 1; }
+unset_knobs=()
+for knob in $knobs; do
+  grep -rqE --include='*.h' --include='*.cpp' --exclude='sched_args.h' \
+    "\.${knob}[[:space:]]*=([^=]|$)" "$repo/src" "$repo/bench" || unset_knobs+=("$knob")
+done
+if (( ${#unset_knobs[@]} > 0 )); then
+  printf 'RunOptions field with no assignment under src/ or bench/: %s\n' "${unset_knobs[@]}" >&2
+  exit 1
+fi
+echo "   knob guard ok: every RunOptions field ($(wc -w <<< "$knobs")) has a runtime setter"
+
 echo "== tier-1: transport trace validation (8-rank bcast) =="
 # An 8-rank run drives the tree allreduce through bcast_shared; the trace
 # must show bcast-tagged send spans whose flow events pair up with a recv on
@@ -203,6 +222,12 @@ python3 -m json.tool "$bench_transport_json" >/dev/null
 echo "   bench smoke ok"
 
 echo "== tier-1: bench regression gate =="
+# The committed BENCH_*.json files are recorded from Release binaries, so
+# the gates re-measure from a Release tree of their own (build-release/)
+# rather than from the RelWithDebInfo build/ the tests use.
+release="$repo/build-release"
+cmake -B "$release" -S "$repo" -DCMAKE_BUILD_TYPE=Release -DSMART_WERROR=ON >/dev/null
+cmake --build "$release" -j "$jobs" --target micro_core_ops micro_transport
 # Re-measure the committed before/after transport pairs and compare their
 # ratios (new/legacy) against BENCH_transport.json: a pair whose fresh ratio
 # is >25% worse than the committed one fails (scripts/bench_gate.py).  The
@@ -211,8 +236,8 @@ echo "== tier-1: bench regression gate =="
 # Five repetitions per bench: the gate reads each one's median, so a single
 # slow repetition on a loaded host does not fail a pair.
 if [[ -f "$repo/BENCH_transport.json" ]]; then
-  bench_gate_json="$repo/build/check_bench_gate.json"
-  "$repo/build/bench/micro_transport" \
+  bench_gate_json="$release/check_bench_gate.json"
+  "$release/bench/micro_transport" \
     --benchmark_filter='AnySourceFanIn|ExactSourceRecv|Bcast1MiB8Ranks|BufferPerMessage' \
     --benchmark_min_time=0.05 --benchmark_repetitions=5 \
     --benchmark_out="$bench_gate_json" --benchmark_out_format=json >/dev/null
@@ -241,8 +266,8 @@ fi
 # still lands far outside 1.4x of the committed ratio.  Medians of five
 # repetitions, as in the transport gate.
 if [[ -f "$repo/BENCH_core.json" ]]; then
-  bench_core_gate_json="$repo/build/check_bench_core_gate.json"
-  "$repo/build/bench/micro_core_ops" \
+  bench_core_gate_json="$release/check_bench_core_gate.json"
+  "$release/bench/micro_core_ops" \
     --benchmark_filter='StdMapAccumulate|ReductionMapAccumulate|MapInsert|ScalarAccumulate|BatchedAccumulate|HistogramKeys|NearestCentroids|RunLoop' \
     --benchmark_min_time=0.05 --benchmark_repetitions=5 \
     --benchmark_out="$bench_core_gate_json" --benchmark_out_format=json >/dev/null
@@ -261,8 +286,8 @@ fi
 # measured compute time to the virtual clock, so one loaded repetition can
 # double it — the gate reads the median of five, as above.
 if [[ -f "$repo/BENCH_transport.json" ]]; then
-  bench_collective_gate_json="$repo/build/check_bench_collective_gate.json"
-  "$repo/build/bench/micro_transport" \
+  bench_collective_gate_json="$release/check_bench_collective_gate.json"
+  "$release/bench/micro_transport" \
     --benchmark_filter='Alltoall8Ranks|ScatterGather8Ranks|CombineMakespan' \
     --benchmark_min_time=0.05 --benchmark_repetitions=5 \
     --benchmark_out="$bench_collective_gate_json" --benchmark_out_format=json >/dev/null

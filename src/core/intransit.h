@@ -14,11 +14,12 @@
 //     smaller than the raw step; staging ranks absorb the snapshots and
 //     finish the combination (in-transit half).
 //
-// Cross-staging combination uses Scheduler::snapshot()/absorb(): staging
-// ranks gather to the first staging rank, which merges and broadcasts the
-// global map back to its peers.  Snapshot payloads use the map wire format
-// (v2 interned-type codec; see core/red_obj.h) and absorb() auto-detects
-// the format, so mixed-version payloads decode transparently.
+// Cross-staging combination is the scheduler's own global-combination
+// round (Scheduler::combine_group) over the staging ranks: MapCombiner's
+// binomial reduce and direct fan-out, with RecoveryPolicy's timeouts,
+// retries and degradation.  Hybrid snapshot payloads use the map wire
+// format (v2 interned-type codec; see core/red_obj.h) and absorb()
+// auto-detects the format, so mixed-version payloads decode transparently.
 //
 // These helpers suit per-step (non-iterative) analytics — histogram, grid
 // aggregation, mutual information, window apps.  Iterative apps need the
@@ -26,8 +27,7 @@
 // built-in time/space-sharing modes.
 #pragma once
 
-#include <algorithm>
-#include <optional>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -46,6 +46,15 @@ struct Topology {
   void validate() const {
     if (num_staging <= 0 || num_staging >= world_size) {
       throw std::invalid_argument("intransit::Topology: need 0 < num_staging < world_size");
+    }
+  }
+
+  /// validate() for `comm`'s own world: every entry point below checks it
+  /// first (num_staging 0 would divide by zero in staging_of).
+  void validate(const simmpi::Communicator& comm) const {
+    validate();
+    if (world_size != comm.size()) {
+      throw std::invalid_argument("intransit::Topology: world_size must equal comm.size()");
     }
   }
 
@@ -68,10 +77,8 @@ struct Topology {
 namespace detail {
 // One tag carries the whole producer->staging stream (a kind byte leads
 // each payload), so a staging rank draining its producers can never steal
-// a peer's combination message; combination runs on its own tags.
+// a peer's combination message; combination runs on MapCombiner's tags.
 constexpr int kStreamTag = 400;
-constexpr int kCombineTag = 403;
-constexpr int kResultTag = 404;
 
 enum class Kind : std::uint8_t { kRaw = 1, kSnapshot = 2, kEnd = 3 };
 }  // namespace detail
@@ -82,6 +89,7 @@ enum class Kind : std::uint8_t { kRaw = 1, kSnapshot = 2, kEnd = 3 };
 template <typename In>
 void ship_raw_step(simmpi::Communicator& comm, const Topology& topo, const In* data,
                    std::size_t len) {
+  topo.validate(comm);
   Buffer buf;
   Writer w(buf);
   w.write(detail::Kind::kRaw);
@@ -95,6 +103,7 @@ void ship_raw_step(simmpi::Communicator& comm, const Topology& topo, const In* d
 template <typename In, typename Out>
 void ship_local_result(simmpi::Communicator& comm, const Topology& topo,
                        Scheduler<In, Out>& sched, const In* data, std::size_t len) {
+  topo.validate(comm);
   if (sched.global_combination()) {
     throw std::logic_error("intransit::ship_local_result: turn off global combination");
   }
@@ -108,6 +117,7 @@ void ship_local_result(simmpi::Communicator& comm, const Topology& topo,
 
 /// Signals this simulation rank's end of stream to its staging node.
 inline void ship_end(simmpi::Communicator& comm, const Topology& topo) {
+  topo.validate(comm);
   Buffer buf;
   Writer(buf).write(detail::Kind::kEnd);
   comm.send(topo.staging_of(comm.rank()), detail::kStreamTag, std::move(buf));
@@ -124,18 +134,19 @@ inline void ship_end(simmpi::Communicator& comm, const Topology& topo) {
 /// last block would survive, silently).  Call combine_across_staging()
 /// afterwards for the cross-staging result.
 ///
-/// With `peer_timeout_seconds > 0` the drain is fault-tolerant: when the
-/// stream goes silent past the timeout, producers that have died are
-/// treated as having sent their end-of-stream marker (their already-
-/// delivered payloads still count), so one dead simulation rank cannot
-/// hang its staging node.  Silence without a death still raises
-/// simmpi::PeerUnreachable.
+/// With a fault-tolerant RecoveryPolicy on the scheduler (peer timeout
+/// > 0) the drain is fault-tolerant: when the stream goes silent past the
+/// timeout, producers that have died are treated as having sent their
+/// end-of-stream marker (their already-delivered payloads still count), so
+/// one dead simulation rank cannot hang its staging node.  Silence without
+/// a death still raises simmpi::PeerUnreachable.
 template <typename In, typename Out>
-std::size_t stage_all(simmpi::Communicator& comm, const Topology& topo, Scheduler<In, Out>& sched,
-                      double peer_timeout_seconds = 0.0) {
+std::size_t stage_all(simmpi::Communicator& comm, const Topology& topo, Scheduler<In, Out>& sched) {
+  topo.validate(comm);
   if (sched.global_combination()) {
     throw std::logic_error("intransit::stage_all: turn off global combination");
   }
+  const double peer_timeout_seconds = sched.recovery_policy().peer_timeout_seconds;
   std::size_t processed = 0;
   std::vector<int> open = topo.producers_of(comm.rank());
   while (!open.empty()) {
@@ -193,54 +204,21 @@ std::size_t stage_all(simmpi::Communicator& comm, const Topology& topo, Schedule
   return processed;
 }
 
-/// Merges the combination maps of all staging ranks: gather to the first
-/// staging rank, absorb, broadcast the global map back.  Must be called by
-/// every staging rank (and only them).
-///
-/// With `peer_timeout_seconds > 0` the combination is fault-tolerant: dead
-/// staging ranks are excluded, and when the first staging rank itself is
-/// dead the survivors agree on the first *surviving* staging rank as the
-/// root (every rank computes the same alive set from the shared death
-/// record, so no consensus round is needed).
+/// Merges the combination maps of all staging ranks in one round of the
+/// scheduler's global combination over them (Scheduler::combine_group);
+/// every staging rank ends holding the global map.  Must be called by
+/// every staging rank (and only them).  Under a fault-tolerant
+/// RecoveryPolicy dead staging ranks drop out of the rebuilt tree (a dead
+/// first staging rank hands the root to the first survivor), and their
+/// partial results are lost with them.
 template <typename In, typename Out>
 void combine_across_staging(simmpi::Communicator& comm, const Topology& topo,
-                            Scheduler<In, Out>& sched, double peer_timeout_seconds = 0.0) {
+                            Scheduler<In, Out>& sched) {
+  topo.validate(comm);
   obs::TraceSpan span("stage.combine", "intransit");
-  std::vector<int> staging;
-  for (int r = topo.first_staging(); r < topo.world_size; ++r) {
-    if (peer_timeout_seconds <= 0.0 || comm.peer_alive(r)) staging.push_back(r);
-  }
-  if (staging.empty()) return;
-  const int root = staging.front();
-  if (comm.rank() == root) {
-    for (const int peer : staging) {
-      if (peer == root) continue;
-      try {
-        if (peer_timeout_seconds > 0.0) {
-          sched.absorb(comm.recv_timeout(peer, detail::kCombineTag, peer_timeout_seconds));
-        } else {
-          sched.absorb(comm.recv(peer, detail::kCombineTag));
-        }
-      } catch (const simmpi::PeerUnreachable&) {
-        continue;  // died after staging: its partial result is lost, not the round
-      }
-    }
-    // One snapshot shared by every peer: serialize once, copy never.
-    const SharedBuffer global = make_shared_buffer(sched.snapshot());
-    for (const int peer : staging) {
-      if (peer != root) comm.send_shared(peer, detail::kResultTag, global);
-    }
-  } else {
-    comm.send(root, detail::kCombineTag, sched.snapshot());
-    const SharedBuffer global =
-        peer_timeout_seconds > 0.0
-            ? comm.recv_shared_timeout(root, detail::kResultTag, peer_timeout_seconds)
-            : comm.recv_shared(root, detail::kResultTag);
-    sched.reset_combination_map();
-    Reader r(global);
-    sched.absorb(r);
-  }
-  sched.run_post_combine();
+  std::vector<int> staging(static_cast<std::size_t>(topo.num_staging));
+  std::iota(staging.begin(), staging.end(), topo.first_staging());
+  sched.combine_group(comm, staging);
 }
 
 }  // namespace smart::intransit

@@ -93,7 +93,7 @@ void MapCombiner::prepare_wire() {
 
 MapCombineStats MapCombiner::allreduce(simmpi::Communicator& comm, CombinationMap& map,
                                        const MergeFn& merge, double peer_timeout_seconds,
-                                       std::span<const int> group) {
+                                       std::span<const int> group, int base_size) {
   MapCombineStats stats;
   const int m = group_size(comm, group);
   if (m <= 1) return stats;
@@ -113,7 +113,7 @@ MapCombineStats MapCombiner::allreduce(simmpi::Communicator& comm, CombinationMa
   stats.algorithm = algorithm;
   obs::TraceSpan span(span_name, "sched");
   // Only degraded rounds carry "survivors" (obs/critpath.cpp keys on it).
-  if (!group.empty()) span.arg("survivors", m);
+  if (m < (base_size > 0 ? base_size : comm.size())) span.arg("survivors", m);
   span.arg("round", round);
 
   if (algo == simmpi::CollectiveAlgo::kRing) {

@@ -30,8 +30,9 @@
 //   * direct: reduce, then the root hands one SharedBuffer straight to
 //     every peer (zero per-peer copies, no interior forwarding).
 //   * fault-tolerant ("ft_tree"): direct over a rank group (the whole
-//     communicator, or the survivors of a failed round) on the recovery
-//     round's tags, with every receive bounded by a deadline.
+//     communicator, a subset such as intransit's staging ranks, or the
+//     survivors of a failed round) on the recovery round's tags, with
+//     every receive bounded by a deadline.
 //   * auto: plan-driven.  Below the measured flat-model crossover
 //     (kDefaultRingCrossoverBytes, from bench/micro_core_ops
 //     BM_MapCombineAlgorithms) the tree always wins — that regime is
@@ -103,11 +104,15 @@ class MapCombiner {
   /// raises simmpi::PeerUnreachable, possibly leaving this rank's map
   /// partially merged — callers roll back and retry; core/scheduler.h
   /// does.  `group` lists the participating ranks (ascending, containing
-  /// this rank; empty = all of `comm`): degraded rounds pass the survivors
-  /// of a failed round, from Communicator::alive_ranks(), and dead ranks
-  /// are simply absent from the rebuilt tree.
+  /// this rank; empty = all of `comm`): a rank subset such as intransit's
+  /// staging ranks, or the survivors of a failed round, from
+  /// Communicator::alive_ranks(), with dead ranks simply absent from the
+  /// rebuilt tree.  `base_size` is the size of the group the round would
+  /// span with nobody lost (0 = comm.size()); a smaller group is a
+  /// degraded round, and only its span carries "survivors".
   MapCombineStats allreduce(simmpi::Communicator& comm, CombinationMap& map, const MergeFn& merge,
-                            double peer_timeout_seconds = 0.0, std::span<const int> group = {});
+                            double peer_timeout_seconds = 0.0, std::span<const int> group = {},
+                            int base_size = 0);
 
   /// Starts a fresh fault-tolerant round (a new tag namespace).  Call it
   /// exactly once per *logical* combination round, before the first

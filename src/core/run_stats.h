@@ -67,7 +67,7 @@ struct RunStats {
 
   // Fault-tolerance accounting (RecoveryPolicy; see core/scheduler.h).
   std::size_t combine_retries = 0;   ///< global-combination attempts retried after PeerUnreachable
-  std::size_t ranks_lost = 0;        ///< dead peers excluded from degraded combination
+  std::size_t ranks_lost = 0;        ///< dead members of the combination group, as of the last round
   std::size_t auto_checkpoints = 0;  ///< periodic checkpoints written by the recovery policy
 
   // Phase times, CPU-measured on the owning rank thread / workers.
@@ -76,9 +76,8 @@ struct RunStats {
   double global_seconds = 0.0;        ///< serialize + exchange + merge + bcast
   double copy_seconds = 0.0;          ///< input copy (copy_input mode / space sharing feed)
 
-  // Load-balance observability for the split policies (RunOptions::
-  // split_policy): max-over-mean worker busy time of the worst reduction
-  // phase seen.  1.0 = perfectly balanced; num_threads = one worker did
+  // Load-balance observability for the per-thread splits: max-over-mean
+  // worker busy time of the worst reduction phase seen.  1.0 = perfectly balanced; num_threads = one worker did
   // all the work.  Mirrored as the sched.worker_skew metrics gauge.
   double worker_skew = 0.0;
 

@@ -15,8 +15,8 @@
 //      No key-value pair is emitted, so there is no shuffle and the
 //      mapping phase needs no extra memory.  The trailing in_len %
 //      chunk_size elements are processed as a short final chunk (its
-//      Chunk::length carries the true count) unless RunOptions::
-//      process_tail is off or the app declared require_full_chunks();
+//      Chunk::length carries the true count) unless the app declared
+//      require_full_chunks();
 //   3. local combination merges worker maps (merge); global combination
 //      merges rank maps across simmpi via core/map_combiner: each rank
 //      serializes its map at most once and deserializes the global result
@@ -56,10 +56,10 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -178,7 +178,7 @@ class Scheduler {
   explicit Scheduler(const SchedArgs& args, RunOptions opts = {})
       : args_(args),
         opts_(opts),
-        pool_(std::make_unique<ThreadPool>(args.num_threads, opts.pin_threads)),
+        pool_(std::make_unique<ThreadPool>(args.num_threads)),
         reduction_maps_(static_cast<std::size_t>(args.num_threads)),
         feed_buffer_(std::make_unique<CircularBuffer<FeedCell>>(opts.buffer_cells)) {
     worker_slots_.reserve(reduction_maps_.size());
@@ -218,7 +218,7 @@ class Scheduler {
   const RecoveryPolicy& recovery_policy() const { return recovery_; }
 
   /// Ranks the degraded combination currently spans (empty until a peer
-  /// death has been detected — i.e. while every rank participates).
+  /// death has been detected — i.e. while every member participates).
   const std::vector<int>& surviving_ranks() const { return survivors_; }
 
   const RunOptions& options() const { return opts_; }
@@ -296,9 +296,17 @@ class Scheduler {
     sync_tracked_objects();
   }
 
-  /// Re-runs the app's post_combine on the current map (after a custom
-  /// combination round).
-  void run_post_combine() { post_combine(combination_map_); }
+  /// run()'s global-combination round over the ranks in `group` (ascending,
+  /// containing this rank; empty = all of `comm`), then post_combine — for
+  /// callers that combine outside run(), e.g. across intransit's staging
+  /// ranks.  Collective over `group`, with RecoveryPolicy's recovery (see
+  /// global_combination).  One scheduler combines over one group: its
+  /// degraded survivors persist across rounds.
+  void combine_group(simmpi::Communicator& comm, std::span<const int> group) {
+    global_combination(comm, group);
+    post_combine(combination_map_);
+    sync_tracked_objects();
+  }
 
   /// Converts the current combination map into the output array without
   /// running (Algorithm 1 lines 20-23 standalone) — used after absorb()
@@ -403,9 +411,9 @@ class Scheduler {
 
   /// Apps whose chunk is a fixed-width record (k-means feature vectors,
   /// logistic-regression rows) call this in their constructor: a partial
-  /// tail record is malformed input, so tail processing is forced off and
-  /// ragged trailing elements stay in RunStats::elements_skipped.
-  void require_full_chunks() { opts_.process_tail = false; }
+  /// tail record is malformed input, so the ragged trailing elements are
+  /// not processed and stay counted in RunStats::elements_skipped.
+  void require_full_chunks() { process_tail_ = false; }
 
  private:
   struct FeedCell {
@@ -493,8 +501,8 @@ class Scheduler {
     const std::size_t num_chunks = in_len / args_.chunk_size;
     const std::size_t tail = in_len - num_chunks * args_.chunk_size;
     // Ragged tail: processed as a short final chunk (Chunk::length tells
-    // the app how much is real) unless the option is off.
-    const std::size_t tail_len = opts_.process_tail ? tail : 0;
+    // the app how much is real) unless the app requires full chunks.
+    const std::size_t tail_len = process_tail_ ? tail : 0;
     if (tail_len == 0) stats_.elements_skipped += tail;
 
     // A run() analyzes one time-step independently (Listing 1 constructs
@@ -601,8 +609,7 @@ class Scheduler {
         slot->set_key(key);
       }
     };
-    if (opts_.parallel_local_combine && reduction_maps_.size() > 1 &&
-        combination_map_.size() >= kParallelCombineMinEntries) {
+    if (reduction_maps_.size() > 1 && combination_map_.size() >= kParallelCombineMinEntries) {
       pool_->parallel_region(
           [&](int w) { refresh(reduction_maps_[static_cast<std::size_t>(w)]); });
     } else {
@@ -628,13 +635,6 @@ class Scheduler {
     const auto workers = static_cast<std::size_t>(args_.num_threads);
     const std::size_t base = num_units / workers;
     const std::size_t extra = num_units % workers;
-    // kDynamic: workers pull batches of this many chunks from a shared
-    // counter (8 batches per worker keeps the tail short without turning
-    // the counter into a hot spot).  With num_units < workers this clamps
-    // to 1 and the tail imbalance shows up in the worker_skew stat;
-    // kGuided shrinks its take as the counter drains instead.
-    const std::size_t grain = std::max<std::size_t>(1, num_units / (workers * 8));
-    std::atomic<std::size_t> next_chunk{0};
 
     std::vector<std::size_t> peak_objs(workers, 0);
     std::vector<std::size_t> emitted(workers, 0);
@@ -697,35 +697,10 @@ class Scheduler {
         for (; c < end; ++c) process_chunk(c);
         chunks_done[uw] += end - begin;
       };
-      if (opts_.split_policy == SplitPolicy::kDynamic) {
-        for (;;) {
-          const std::size_t begin = next_chunk.fetch_add(grain, std::memory_order_relaxed);
-          if (begin >= num_units) break;
-          process_range(begin, std::min(begin + grain, num_units));
-        }
-      } else if (opts_.split_policy == SplitPolicy::kGuided) {
-        // Guided self-scheduling: each fetch takes half an equal share of
-        // what remains, so early slices are big (cache-friendly, counter
-        // stays cold) and the trailing slices shrink to single chunks —
-        // the ragged tail can no longer strand one worker with a full
-        // grain while the others idle.
-        std::size_t begin = next_chunk.load(std::memory_order_relaxed);
-        while (begin < num_units) {
-          const std::size_t take =
-              std::max<std::size_t>(1, (num_units - begin) / (workers * 2));
-          if (next_chunk.compare_exchange_weak(begin, begin + take,
-                                               std::memory_order_relaxed)) {
-            process_range(begin, begin + take);
-            begin = next_chunk.load(std::memory_order_relaxed);
-          }
-        }
-      } else {
-        // Contiguous split of chunks for this worker (the paper's equal
-        // division of a block into splits) — affinity-friendly: one
-        // streaming range per worker.
-        const std::size_t begin = uw * base + std::min(uw, extra);
-        process_range(begin, begin + base + (uw < extra ? 1 : 0));
-      }
+      // Contiguous split of chunks for this worker (the paper's equal
+      // division of a block into splits): one streaming range per worker.
+      const std::size_t begin = uw * base + std::min(uw, extra);
+      process_range(begin, begin + base + (uw < extra ? 1 : 0));
       peak_objs[uw] = peak;
       emitted[uw] = slots.erased() - erased_before;
     });
@@ -737,10 +712,8 @@ class Scheduler {
       busy_total += b;
     }
     stats_.reduction_seconds += critical_path;
-    // Load-balance observability for the split policies: max-over-mean
-    // worker busy time (1.0 = balanced, `workers` = one worker did it
-    // all).  This is where a mis-grained dynamic split or a ragged tail
-    // stranding one worker becomes visible.
+    // Load-balance observability: max-over-mean worker busy time (1.0 =
+    // balanced, `workers` = one worker did it all).
     const double mean_busy = busy_total / static_cast<double>(workers);
     const double skew = mean_busy > 0.0 ? critical_path / mean_busy : 1.0;
     if (skew > stats_.worker_skew) stats_.worker_skew = skew;
@@ -766,10 +739,9 @@ class Scheduler {
     sync_tracked_objects();
   }
 
-  /// Below this many total entries the serial local-combination fold is
-  /// used even when parallel_local_combine is on: dispatching the pool
-  /// costs more than merging a handful of objects.  Also gates the
-  /// parallel clone in distribute_combination_map.
+  /// Below this many total entries the local combination folds serially:
+  /// dispatching the pool costs more than merging a handful of objects.
+  /// Also gates the parallel clone in distribute_combination_map.
   static constexpr std::size_t kParallelCombineMinEntries = 64;
 
   /// Algorithm 1 lines 11-17, local half: worker maps 1..T-1 merge into
@@ -784,13 +756,13 @@ class Scheduler {
   /// gets its objects back for the next distribute to refresh in place.
   /// Otherwise merged maps are emptied as they go.
   ///
-  /// With parallel_local_combine, the T worker maps merge pairwise on the
-  /// pool as a binomial tree — round d merges map[w+d] into map[w] for
-  /// every w divisible by 2d — so the phase costs log2(T) rounds of
-  /// concurrent merges instead of T-1 serial ones.  Each round's pairs
-  /// touch disjoint maps; merge() must therefore tolerate concurrent calls
-  /// on disjoint objects, which the merge contract (pure function of its
-  /// two operands) already guarantees.  The phase charges the critical
+  /// With more than one worker and at least kParallelCombineMinEntries
+  /// entries, the T worker maps merge pairwise on the pool as a binomial
+  /// tree — round d merges map[w+d] into map[w] for every w divisible by
+  /// 2d — so the phase costs log2(T) rounds of concurrent merges instead
+  /// of T-1 serial ones.  Each round's pairs touch disjoint maps; merge()
+  /// must therefore tolerate concurrent calls on disjoint objects, which
+  /// the merge contract (pure function of its two operands) guarantees.  The phase charges the critical
   /// path (slowest worker per round) to combination_seconds, like the
   /// reduction phase; the simmpi clock is not advanced, preserving the
   /// serial path's timing semantics.
@@ -809,8 +781,7 @@ class Scheduler {
       }
     };
     double critical_path = 0.0;
-    if (!opts_.parallel_local_combine || workers <= 1 ||
-        total_entries < kParallelCombineMinEntries) {
+    if (workers <= 1 || total_entries < kParallelCombineMinEntries) {
       for (std::size_t w = 1; w < workers; ++w) fold(w, 0);
       critical_path = timer.seconds();
     } else {
@@ -841,23 +812,36 @@ class Scheduler {
   /// via MapCombiner (single-pass tree or key-partitioned ring; see
   /// core/map_combiner.h) and the global map replaces every rank's local
   /// map, so the next iteration and get_combination_map see the global
-  /// result.
+  /// result.  `base` lists the ranks of the round (ascending; empty = all
+  /// of `comm`).
   ///
-  /// Under a fault-tolerant RecoveryPolicy the round is wrapped in a
-  /// recovery loop: on simmpi::PeerUnreachable the map rolls back to its
-  /// pre-round snapshot (a failed round may have partially merged peers),
-  /// the round retries with exponential backoff, and once a peer is known
-  /// dead — or retries are exhausted against one — the survivors rebuild
-  /// the tree over the reduced rank set and stay degraded from then on.
-  void global_combination(simmpi::Communicator& comm) {
+  /// Under a fault-tolerant RecoveryPolicy, and for every round over an
+  /// explicit group (MapCombiner runs those on the recovery round's tags),
+  /// the round is wrapped in a recovery loop: on simmpi::PeerUnreachable
+  /// the map rolls back to its pre-round snapshot (a failed round may have
+  /// partially merged peers), the round retries with exponential backoff,
+  /// and once a member of `base` is known dead — or retries are exhausted
+  /// against one — the base group's survivors rebuild the tree over the
+  /// reduced rank set and stay degraded from then on.
+  void global_combination(simmpi::Communicator& comm, std::span<const int> base = {}) {
     WallTimer wall;
     ++stats_.global_combinations;
-    if (!recovery_.fault_tolerant_combination()) {
+    if (base.empty() && !recovery_.fault_tolerant_combination()) {
       fold_combine_stats(map_combiner_.allreduce(comm, combination_map_, merge_fn()));
       stats_.global_seconds += wall.seconds();
       return;
     }
 
+    const int base_size = base.empty() ? comm.size() : static_cast<int>(base.size());
+    // The members of `base` that the shared death record still counts.
+    auto alive_in_base = [&] {
+      std::vector<int> alive = comm.alive_ranks();
+      if (!base.empty()) {
+        std::erase_if(alive,
+                      [&](int r) { return !std::binary_search(base.begin(), base.end(), r); });
+      }
+      return alive;
+    };
     // Pre-round snapshot: a PeerUnreachable can surface after some peers'
     // payloads were already absorbed, and replaying those merges would
     // double-count them.  The rollback also keeps resent payloads
@@ -870,8 +854,10 @@ class Scheduler {
     for (int attempt = 0;; ++attempt) {
       obs::TraceSpan attempt_span("combine.attempt", "sched", {{"attempt", attempt}});
       try {
+        const std::span<const int> group = survivors_.empty() ? base : survivors_;
         fold_combine_stats(map_combiner_.allreduce(comm, combination_map_, merge_fn(),
-                                                   recovery_.peer_timeout_seconds, survivors_));
+                                                   recovery_.peer_timeout_seconds, group,
+                                                   base_size));
         break;
       } catch (const simmpi::PeerUnreachable&) {
         if (obs::trace_enabled()) {
@@ -880,15 +866,12 @@ class Scheduler {
         }
         combination_map_ = deserialize_map(pre_round);
         sync_tracked_objects();
-        const std::vector<int> alive = comm.alive_ranks();
-        const bool newly_degraded =
-            static_cast<int>(alive.size()) < comm.size() && alive != survivors_;
-        if (newly_degraded) {
+        const std::vector<int> alive = alive_in_base();
+        if (static_cast<int>(alive.size()) < base_size && alive != survivors_) {
           // Every survivor computes the same alive set from the shared
           // death record, so the degraded trees agree without a consensus
           // round.  A newly detected death re-arms the retry budget.
           survivors_ = alive;
-          stats_.ranks_lost = static_cast<std::size_t>(comm.size()) - alive.size();
           attempt = -1;
           continue;
         }
@@ -898,6 +881,9 @@ class Scheduler {
             kRetryBackoffSeconds * static_cast<double>(1 << attempt)));
       }
     }
+    // Counted at the end, so a member that never saw the failure (its
+    // payload reached a root that degraded) still counts the loss.
+    stats_.ranks_lost = static_cast<std::size_t>(base_size) - alive_in_base().size();
     stats_.global_seconds += wall.seconds();
   }
 
@@ -926,8 +912,10 @@ class Scheduler {
   CombinationMap carry_map_;
   MapCombiner map_combiner_;
   RecoveryPolicy recovery_;
-  std::vector<int> survivors_;  ///< degraded combination group; empty = everyone
+  std::vector<int> survivors_;  ///< degraded combination group; empty = the whole base group
   bool global_combination_ = true;
+  /// Cleared by require_full_chunks: the ragged tail is then skipped.
+  bool process_tail_ = true;
   /// Set by distribute_combination_map: the worker maps hold copies of the
   /// combination map this iteration, kept for reuse by local_combination.
   bool reuse_worker_objects_ = false;

@@ -1,16 +1,12 @@
 #include "threading/thread_pool.h"
 
-#include <pthread.h>
-#include <sched.h>
-#include <unistd.h>
-
 #include <stdexcept>
 
 #include "common/timing.h"
 
 namespace smart {
 
-ThreadPool::ThreadPool(int num_workers, bool pin_threads) {
+ThreadPool::ThreadPool(int num_workers) {
   if (num_workers <= 0) {
     throw std::invalid_argument("ThreadPool: num_workers must be positive");
   }
@@ -19,7 +15,7 @@ ThreadPool::ThreadPool(int num_workers, bool pin_threads) {
   workers_.reserve(static_cast<std::size_t>(num_workers));
   worker_ids_.reserve(static_cast<std::size_t>(num_workers));
   for (int i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this, i, pin_threads] { worker_loop(i, pin_threads); });
+    workers_.emplace_back([this, i] { worker_loop(i); });
     worker_ids_.push_back(workers_.back().get_id());
   }
 }
@@ -33,16 +29,7 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::worker_loop(int id, bool pin) {
-  if (pin) {
-    const long ncores = sysconf(_SC_NPROCESSORS_ONLN);
-    if (ncores > 0) {
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET(static_cast<unsigned>(id % ncores), &set);
-      pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-    }
-  }
+void ThreadPool::worker_loop(int id) {
   std::uint64_t seen = 0;
   for (;;) {
     const std::function<void(int)>* job = nullptr;

@@ -19,9 +19,7 @@ namespace smart {
 
 class ThreadPool {
  public:
-  /// pin_threads attempts pthread affinity worker->core (the paper pins
-  /// analytics threads to cores); silently skipped if unsupported.
-  explicit ThreadPool(int num_workers, bool pin_threads = false);
+  explicit ThreadPool(int num_workers);
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -45,7 +43,7 @@ class ThreadPool {
   std::vector<double> parallel_region(const std::function<void(int)>& fn);
 
  private:
-  void worker_loop(int id, bool pin);
+  void worker_loop(int id);
   bool on_worker_thread() const;
   std::vector<double> run_inline(const std::function<void(int)>& fn);
 

@@ -12,9 +12,8 @@
 // (truncation == floor after clamping, points-in-lanes argmin == scalar
 // argmin on every ISA leg with the lowest-index tie rule, NaN and infinite
 // coordinates and centroids and distances at DBL_MAX included), batch 0 ==
-// batch 64 on a Heat3D slab at 1, 2 and 4 threads under every split
-// policy, trigger-driven mid-batch erase through the default
-// accumulate_batch, split-policy invariance for integer apps, and the
+// batch 64 on a Heat3D slab at 1, 2 and 4 threads, trigger-driven
+// mid-batch erase through the default accumulate_batch, and the
 // worker_skew metric.  Registered under the `schedule` ctest label and
 // run under TSan by scripts/check.sh.
 #include <gtest/gtest.h>
@@ -626,7 +625,7 @@ TEST(BatchedExactness, GridAggregationWithRaggedTail) {
   }
 }
 
-// --- batch 0 == batch 64 on a Heat3D slab, every thread count and split -----
+// --- batch 0 == batch 64 on a Heat3D slab, every thread count -------------
 
 // A Heat3D 32x32x64 slab after 200 steps: a hot quarter near the heated
 // plane with short key runs, a cold bulk with long ones — the field the
@@ -637,33 +636,14 @@ std::vector<double> heat_slab() {
   return std::vector<double>(heat.output(), heat.output() + heat.output_len());
 }
 
-// The same slab rounded to multiples of 2^-16.  Its values lie in [0, 1],
-// so every sum and sum of squares the apps form over 65536 of them is
-// exact in any order.  Under kDynamic and kGuided the chunk-to-worker
-// assignment depends on timing, and with it the grouping of the
-// floating-point merges; on this slab the results are still defined bit
-// for bit, so batch 0 and batch 64 must agree under every policy.
-std::vector<double> dyadic(std::vector<double> v) {
-  for (auto& x : v) x = std::ldexp(std::nearbyint(std::ldexp(x, 16)), -16);
-  return v;
-}
-
 /// run(slab, threads, opts) at batch_chunks 0 and 64 must agree bit for bit
-/// at 1, 2 and 4 threads, under kContiguous or under every split policy.
+/// at 1, 2 and 4 threads.
 template <class Run>
-void expect_batch_invariant(const std::vector<double>& slab, bool every_policy, Run run) {
-  const std::vector<SplitPolicy> policies =
-      every_policy
-          ? std::vector<SplitPolicy>{SplitPolicy::kContiguous, SplitPolicy::kDynamic,
-                                     SplitPolicy::kGuided}
-          : std::vector<SplitPolicy>{SplitPolicy::kContiguous};
-  for (const SplitPolicy policy : policies) {
-    for (const int threads : {1, 2, 4}) {
-      RunOptions scalar = with_batch(0), batched = with_batch(64);
-      scalar.split_policy = batched.split_policy = policy;
-      EXPECT_EQ(bits_of(run(slab, threads, scalar)), bits_of(run(slab, threads, batched)))
-          << "threads=" << threads << " policy=" << static_cast<int>(policy);
-    }
+void expect_batch_invariant(const std::vector<double>& slab, Run run) {
+  for (const int threads : {1, 2, 4}) {
+    EXPECT_EQ(bits_of(run(slab, threads, with_batch(0))),
+              bits_of(run(slab, threads, with_batch(64))))
+        << "threads=" << threads;
   }
 }
 
@@ -705,25 +685,22 @@ std::vector<double> heat_grid(const std::vector<double>& slab, int threads,
 
 TEST(HeatSlabBatching, KMeansCentroidsBitForBit) {
   const auto slab = heat_slab();
-  expect_batch_invariant(slab, false, heat_kmeans);
-  expect_batch_invariant(dyadic(slab), true, heat_kmeans);
+  expect_batch_invariant(slab, heat_kmeans);
 }
 
 TEST(HeatSlabBatching, HistogramBitForBit) {
   const auto slab = heat_slab();
-  expect_batch_invariant(slab, true, heat_histogram);  // integer counts: any order
+  expect_batch_invariant(slab, heat_histogram);
 }
 
 TEST(HeatSlabBatching, SummaryStatsBitForBit) {
   const auto slab = heat_slab();
-  expect_batch_invariant(slab, false, heat_moments);
-  expect_batch_invariant(dyadic(slab), true, heat_moments);
+  expect_batch_invariant(slab, heat_moments);
 }
 
 TEST(HeatSlabBatching, GridAggregationBitForBit) {
   const auto slab = heat_slab();
-  expect_batch_invariant(slab, false, heat_grid);
-  expect_batch_invariant(dyadic(slab), true, heat_grid);
+  expect_batch_invariant(slab, heat_grid);
 }
 
 TEST(HeatSlabBatching, ReusedSchedulerMatchesFreshOne) {
@@ -832,25 +809,18 @@ TEST(TriggerMidBatch, BatchedEmissionsMatchScalarBitForBit) {
   EXPECT_EQ(sched.get_combination_map().size(), segments);
 }
 
-// --- split policies and the skew metric -------------------------------------
+// --- the skew metric ---------------------------------------------------------
 
-TEST(SplitPolicies, IntegerResultsInvariantAcrossPolicies) {
+TEST(WorkerSkew, AtLeastOneOnContiguousSplits) {
   Rng rng(916);
   std::vector<double> data(10007);
   for (auto& x : data) x = rng.uniform(-1.0, 1.0);
-  auto run_policy = [&](SplitPolicy policy) {
-    RunOptions opts;
-    opts.split_policy = policy;
-    Histogram<double> hist(SchedArgs(4, 1), -1.0, 1.0, 16, opts);
-    std::vector<std::size_t> out(16, 0);
-    hist.run(data.data(), data.size(), out.data(), out.size());
-    return std::pair(out, hist.stats().worker_skew);
-  };
-  const auto [contiguous, skew] = run_policy(SplitPolicy::kContiguous);
-  EXPECT_EQ(run_policy(SplitPolicy::kDynamic).first, contiguous);
-  EXPECT_EQ(run_policy(SplitPolicy::kGuided).first, contiguous);
+  Histogram<double> hist(SchedArgs(4, 1), -1.0, 1.0, 16);
+  std::vector<std::size_t> out(16, 0);
+  hist.run(data.data(), data.size(), out.data(), out.size());
+  EXPECT_EQ(out, ref::histogram(data.data(), data.size(), -1.0, 1.0, 16));
   // Skew is max-over-mean worker busy time: >= 1 whenever workers ran.
-  EXPECT_GE(skew, 1.0);
+  EXPECT_GE(hist.stats().worker_skew, 1.0);
 }
 
 }  // namespace

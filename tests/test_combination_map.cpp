@@ -13,6 +13,7 @@
 
 #include "analytics/histogram.h"
 #include "analytics/red_objs.h"
+#include "analytics/reference.h"
 #include "bench/legacy_map_codec.h"
 #include "core/checkpoint.h"
 #include "core/red_obj.h"
@@ -394,27 +395,19 @@ TEST(SegmentIndex, AbsorbedNewTypeIsInterned) {
 
 TEST(ParallelLocalCombine, MatchesSerialResultExactly) {
   // Integer bucket counts make the comparison exact: the binomial-tree
-  // merge order must produce the identical histogram, bucket for bucket.
-  // 256 buckets comfortably clears the parallel-path entry threshold.
+  // merge order must produce the serial reference histogram, bucket for
+  // bucket.  4 workers and 256 buckets clear the parallel-path thresholds.
   std::vector<double> data(20000);
   std::mt19937 rng(99);
   std::uniform_real_distribution<double> dist(-5.0, 5.0);
   for (auto& x : data) x = dist(rng);
 
-  RunOptions serial_opts;
-  serial_opts.parallel_local_combine = false;
-  analytics::Histogram<double> serial(SchedArgs(4, 1), -5.0, 5.0, 256, serial_opts);
-  std::vector<std::size_t> serial_out(256, 0);
-  serial.run(data.data(), data.size(), serial_out.data(), serial_out.size());
-
-  RunOptions parallel_opts;
-  parallel_opts.parallel_local_combine = true;
-  analytics::Histogram<double> parallel(SchedArgs(4, 1), -5.0, 5.0, 256, parallel_opts);
+  analytics::Histogram<double> parallel(SchedArgs(4, 1), -5.0, 5.0, 256);
   std::vector<std::size_t> parallel_out(256, 0);
   parallel.run(data.data(), data.size(), parallel_out.data(), parallel_out.size());
 
-  EXPECT_EQ(parallel_out, serial_out);
-  EXPECT_EQ(parallel.get_combination_map().size(), serial.get_combination_map().size());
+  EXPECT_EQ(parallel_out, analytics::ref::histogram(data.data(), data.size(), -5.0, 5.0, 256));
+  EXPECT_EQ(parallel.get_combination_map().size(), 256u);
 }
 
 TEST(ParallelLocalCombine, IterativeSeededRunStaysCorrect) {
@@ -426,7 +419,6 @@ TEST(ParallelLocalCombine, IterativeSeededRunStaysCorrect) {
   for (auto& x : data) x = dist(rng);
 
   RunOptions opts;
-  opts.parallel_local_combine = true;
   opts.accumulate_across_runs = true;
   analytics::Histogram<double> hist(SchedArgs(4, 1), -1.0, 1.0, 128, opts);
   for (int run = 0; run < 3; ++run) hist.run(data.data(), data.size(), nullptr, 0);

@@ -436,6 +436,14 @@ TEST(Recovery, KilledRankDegradesCombinationAndCheckpointRestores) {
 
 // --- in-transit fault paths -------------------------------------------------------
 
+/// Staging ranks' fault tolerance: a 0.2 s bound on every stream and
+/// combination receive.
+RecoveryPolicy staging_policy() {
+  RecoveryPolicy policy;
+  policy.peer_timeout_seconds = 0.2;
+  return policy;
+}
+
 TEST(InTransitFaults, RawBlockWithoutAccumulateThrows) {
   const auto block = uniform_data(64, 803);
   EXPECT_THROW(
@@ -478,9 +486,10 @@ TEST(InTransitFaults, DeadProducerStreamEndIsReassigned) {
         acc.accumulate_across_runs = true;
         Histogram<double> hist(SchedArgs(2, 1), 0.0, 100.0, 8, acc);
         hist.set_global_combination(false);
+        hist.set_recovery_policy(staging_policy());
         // Producer 0 contributed one block before dying; producer 1 all
         // three payloads.  The timeout closes the dead stream for it.
-        EXPECT_EQ(intransit::stage_all(comm, topo, hist, /*peer_timeout_seconds=*/0.2), 3u);
+        EXPECT_EQ(intransit::stage_all(comm, topo, hist), 3u);
         std::size_t total = 0;
         for (const auto& [key, obj] : hist.get_combination_map()) {
           total += static_cast<const Bucket&>(*obj).count;
@@ -511,16 +520,17 @@ TEST(InTransitFaults, CombinationFallsBackToSurvivingRoot) {
         acc.accumulate_across_runs = true;
         Histogram<double> hist(SchedArgs(2, 1), 0.0, 100.0, 8, acc);
         hist.set_global_combination(false);
+        hist.set_recovery_policy(staging_policy());
         if (comm.rank() == 3) {
-          intransit::stage_all(comm, topo, hist, 0.2);  // killed on first recv
+          intransit::stage_all(comm, topo, hist);  // killed on first recv
           FAIL() << "rank 3 should have been killed";
         }
-        EXPECT_EQ(intransit::stage_all(comm, topo, hist, 0.2), 1u);
+        EXPECT_EQ(intransit::stage_all(comm, topo, hist), 1u);
         // Wait for the root's death record before combining, so both
         // survivors compute the same alive set (in production the peer
         // timeout plays this role; the test makes it deterministic).
         while (comm.peer_alive(3)) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        intransit::combine_across_staging(comm, topo, hist, /*peer_timeout_seconds=*/0.2);
+        intransit::combine_across_staging(comm, topo, hist);
         // Rank 0's block went to the dead root and is lost with it; the
         // survivors agree on rank 4 as the new root and combine the rest.
         std::size_t total = 0;
@@ -531,6 +541,51 @@ TEST(InTransitFaults, CombinationFallsBackToSurvivingRoot) {
       },
       nullptr, faults);
   EXPECT_EQ(stats.ranks_killed, (std::vector<int>{3}));
+}
+
+TEST(InTransitFaults, DeadStagingPeerDegradesTheCombinationRound) {
+  const auto block = uniform_data(128, 806);
+  auto faults = std::make_shared<simmpi::FaultInjector>();
+  // Staging rank 4 (not the combination root, rank 3) only receives while
+  // it drains its producer, so its first send is its combination payload:
+  // it dies there, after staging, and its producer's block dies with it.
+  faults->add_rule(
+      {.op = simmpi::FaultOp::kSend, .rank = 4, .action = simmpi::FaultAction::kKillRank});
+  std::vector<std::vector<std::size_t>> counts(6);  // each survivor writes its slot
+  std::vector<std::size_t> ranks_lost(6, 0);
+  const auto stats = simmpi::launch(
+      6,
+      [&](simmpi::Communicator& comm) {
+        const intransit::Topology topo{.world_size = 6, .num_staging = 3};
+        if (comm.rank() < 3) {
+          intransit::ship_raw_step(comm, topo, block.data(), block.size());
+          intransit::ship_end(comm, topo);
+          return;
+        }
+        RunOptions acc;
+        acc.accumulate_across_runs = true;
+        Histogram<double> hist(SchedArgs(2, 1), 0.0, 100.0, 8, acc);
+        hist.set_global_combination(false);
+        hist.set_recovery_policy(staging_policy());
+        EXPECT_EQ(intransit::stage_all(comm, topo, hist), 1u);
+        intransit::combine_across_staging(comm, topo, hist);
+        const auto r = static_cast<std::size_t>(comm.rank());
+        counts[r].assign(8, 0);
+        hist.convert_combination_map(counts[r].data(), counts[r].size());
+        ranks_lost[r] = hist.stats().ranks_lost;
+      },
+      nullptr, faults);
+  EXPECT_EQ(stats.ranks_killed, (std::vector<int>{4}));
+  // The survivors hold identical maps: the blocks of their own producers
+  // (0 -> rank 3, 2 -> rank 5); producer 1's block was lost with rank 4.
+  std::vector<double> survivors_data = block;
+  survivors_data.insert(survivors_data.end(), block.begin(), block.end());
+  const auto expected =
+      analytics::ref::histogram(survivors_data.data(), survivors_data.size(), 0.0, 100.0, 8);
+  for (const std::size_t r : {3u, 5u}) {
+    EXPECT_EQ(counts[r], expected) << "rank " << r;
+    EXPECT_EQ(ranks_lost[r], 1u) << "rank " << r;
+  }
 }
 
 }  // namespace

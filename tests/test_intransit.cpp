@@ -2,11 +2,14 @@
 // and the simmpi collectives next to it (scatter_shared, alltoall_shared).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analytics/histogram.h"
 #include "analytics/mutual_information.h"
 #include "analytics/reference.h"
 #include "common/rng.h"
 #include "core/intransit.h"
+#include "obs/trace.h"
 #include "simmpi/world.h"
 
 namespace smart {
@@ -113,9 +116,10 @@ TEST(InTransit, RawShippingMatchesSerialHistogram) {
 }
 
 TEST(InTransit, HybridSnapshotsMatchSerialHistogram) {
-  // Hybrid: sim ranks reduce locally and ship only snapshots.
+  // Hybrid: sim ranks reduce locally and ship only snapshots.  Three
+  // staging ranks over two producers leave one staging rank with nothing
+  // to drain; it still takes part in the combination round.
   constexpr int kWorld = 5;
-  const intransit::Topology topo{.world_size = kWorld, .num_staging = 2};
   constexpr std::size_t kLen = 3000;
 
   auto payload = [&](int rank) {
@@ -124,29 +128,110 @@ TEST(InTransit, HybridSnapshotsMatchSerialHistogram) {
     for (auto& x : v) x = rng.uniform(0.0, 100.0);
     return v;
   };
-  std::vector<double> all;
-  for (int r = 0; r < topo.num_sim(); ++r) {
-    const auto v = payload(r);
-    all.insert(all.end(), v.begin(), v.end());
-  }
-  const auto expected = ref::histogram(all.data(), all.size(), 0.0, 100.0, 10);
+  for (const int num_staging : {1, 2, 3}) {
+    const intransit::Topology topo{.world_size = kWorld, .num_staging = num_staging};
+    std::vector<double> all;
+    for (int r = 0; r < topo.num_sim(); ++r) {
+      const auto v = payload(r);
+      all.insert(all.end(), v.begin(), v.end());
+    }
+    const auto expected = ref::histogram(all.data(), all.size(), 0.0, 100.0, 10);
 
-  simmpi::launch(kWorld, [&](simmpi::Communicator& comm) {
+    simmpi::launch(kWorld, [&](simmpi::Communicator& comm) {
+      if (!topo.is_staging(comm.rank())) {
+        Histogram<double> local(SchedArgs(2, 1), 0.0, 100.0, 10);
+        local.set_global_combination(false);
+        const auto v = payload(comm.rank());
+        intransit::ship_local_result(comm, topo, local, v.data(), v.size());
+        intransit::ship_end(comm, topo);
+      } else {
+        Histogram<double> staged(SchedArgs(1, 1), 0.0, 100.0, 10);
+        staged.set_global_combination(false);
+        (void)intransit::stage_all(comm, topo, staged);
+        intransit::combine_across_staging(comm, topo, staged);
+        // Every staging rank ends with the global histogram.
+        std::vector<std::size_t> out(10, 0);
+        staged.convert_combination_map(out.data(), out.size());
+        EXPECT_EQ(out, expected) << "staging rank " << comm.rank() << " of " << num_staging;
+      }
+    });
+  }
+}
+
+TEST(InTransit, StagingRoundIsTheSchedulersCombinationRound) {
+  // The cross-staging merge is one global-combination round of the
+  // scheduler: RunStats counts it, and its combine.* span nests inside
+  // the stage.combine span of the same rank.  Nobody died, so the span
+  // carries no "survivors" (the profiler would bill it as recovery).
+  struct TraceOn {
+    TraceOn() {
+      obs::TraceCollector::instance().clear();
+      obs::TraceCollector::instance().set_enabled(true);
+    }
+    ~TraceOn() {
+      obs::TraceCollector::instance().set_enabled(false);
+      obs::TraceCollector::instance().clear();
+    }
+  } trace_on;
+  const intransit::Topology topo{.world_size = 5, .num_staging = 3};
+  std::vector<RunStats> stats(5);
+  simmpi::launch(5, [&](simmpi::Communicator& comm) {
     if (!topo.is_staging(comm.rank())) {
-      Histogram<double> local(SchedArgs(2, 1), 0.0, 100.0, 10);
+      Histogram<double> local(SchedArgs(1, 1), 0.0, 1.0, 4);
       local.set_global_combination(false);
-      const auto v = payload(comm.rank());
+      const std::vector<double> v = {0.1, 0.4, 0.6, 0.9};
       intransit::ship_local_result(comm, topo, local, v.data(), v.size());
       intransit::ship_end(comm, topo);
-    } else {
-      Histogram<double> staged(SchedArgs(1, 1), 0.0, 100.0, 10);
-      staged.set_global_combination(false);
-      (void)intransit::stage_all(comm, topo, staged);
-      intransit::combine_across_staging(comm, topo, staged);
-      // Every staging rank ends with the global histogram.
-      std::vector<std::size_t> out(10, 0);
-      staged.convert_combination_map(out.data(), out.size());
-      EXPECT_EQ(out, expected) << "staging rank " << comm.rank();
+      return;
+    }
+    Histogram<double> staged(SchedArgs(1, 1), 0.0, 1.0, 4);
+    staged.set_global_combination(false);
+    (void)intransit::stage_all(comm, topo, staged);
+    intransit::combine_across_staging(comm, topo, staged);
+    stats[static_cast<std::size_t>(comm.rank())] = staged.stats();
+  });
+  obs::TraceCollector::instance().set_enabled(false);
+
+  for (int r = topo.first_staging(); r < topo.world_size; ++r) {
+    const RunStats& s = stats[static_cast<std::size_t>(r)];
+    EXPECT_EQ(s.global_combinations, 1u) << "rank " << r;
+    EXPECT_GT(s.wire_bytes, 0u) << "rank " << r;
+  }
+  const auto events = obs::TraceCollector::instance().snapshot_events();
+  std::vector<int> nested_ranks;
+  for (const auto& outer : events) {
+    if (outer.name != "stage.combine") continue;
+    for (const auto& inner : events) {
+      if (inner.rank == outer.rank && inner.name.rfind("combine.", 0) == 0 &&
+          inner.ts_us >= outer.ts_us &&
+          inner.ts_us + inner.dur_us <= outer.ts_us + outer.dur_us) {
+        for (std::uint8_t i = 0; i < inner.num_args; ++i) {
+          EXPECT_NE(inner.arg_key[i], "survivors") << "rank " << inner.rank;
+        }
+        nested_ranks.push_back(outer.rank);
+        break;
+      }
+    }
+  }
+  std::sort(nested_ranks.begin(), nested_ranks.end());
+  EXPECT_EQ(nested_ranks, (std::vector<int>{2, 3, 4}));
+}
+
+TEST(InTransit, EntryPointsRejectDegenerateTopologies) {
+  // num_staging 0 would divide by zero in staging_of and never end
+  // producers_of; num_staging == world_size leaves nobody to simulate;
+  // a world_size that is not the communicator's describes another world.
+  simmpi::launch(2, [](simmpi::Communicator& comm) {
+    const std::vector<double> v = {1.0, 2.0};
+    Histogram<double> hist(SchedArgs(1, 1), 0.0, 4.0, 4);
+    hist.set_global_combination(false);
+    for (const intransit::Topology topo : {intransit::Topology{.world_size = 2, .num_staging = 0},
+                                           intransit::Topology{.world_size = 2, .num_staging = 2},
+                                           intransit::Topology{.world_size = 3, .num_staging = 1}}) {
+      EXPECT_THROW(intransit::ship_raw_step(comm, topo, v.data(), v.size()), std::invalid_argument)
+          << "num_staging " << topo.num_staging << ", world_size " << topo.world_size;
+      EXPECT_THROW((void)intransit::stage_all(comm, topo, hist), std::invalid_argument)
+          << "num_staging " << topo.num_staging << ", world_size " << topo.world_size;
     }
   });
 }

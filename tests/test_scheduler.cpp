@@ -9,6 +9,7 @@
 #include "analytics/grid_aggregation.h"
 #include "analytics/histogram.h"
 #include "analytics/kmeans.h"
+#include "analytics/mutual_information.h"
 #include "analytics/reference.h"
 #include "common/rng.h"
 #include "core/scheduler.h"
@@ -20,6 +21,7 @@ using analytics::GridAggregation;
 using analytics::Histogram;
 using analytics::KMeans;
 using analytics::KMeansInit;
+using analytics::MutualInformation;
 
 std::vector<double> uniform_data(std::size_t n, std::uint64_t seed, double lo = 0.0,
                                  double hi = 100.0) {
@@ -112,7 +114,7 @@ TEST(Scheduler, TrailingPartialChunkIsSkippedAndCounted) {
 
 // Regression for the tail-chunk drop: in_len % chunk_size trailing elements
 // used to vanish from structural aggregations without so much as a counter.
-// With process_tail on (the default) they are processed as one short final
+// Unless the app requires full chunks they are processed as one short final
 // chunk whose Chunk::length carries the true count.
 TEST(Scheduler, TrailingElementsProcessedAsShortChunk) {
   // grid/chunk size 8 over 29 elements: 3 full chunks + a 5-element tail.
@@ -133,47 +135,16 @@ TEST(Scheduler, TrailingElementsProcessedAsShortChunk) {
   }
 }
 
-TEST(Scheduler, ProcessTailOffKeepsSkipAccountingAccurate) {
-  const auto data = uniform_data(29, 21);
-  RunOptions opts;
-  opts.process_tail = false;
-  GridAggregation<double> grid(SchedArgs(2, 8), 8, opts);
-  std::vector<double> out(4, -1.0);
-  grid.run(data.data(), data.size(), out.data(), out.size());
-
-  EXPECT_EQ(grid.stats().chunks_processed, 3u);
-  EXPECT_EQ(grid.stats().elements_processed, 24u);
-  EXPECT_EQ(grid.stats().elements_skipped, 5u);
-  EXPECT_EQ(out[3], -1.0);  // the tail cell was never touched
-}
-
-TEST(Scheduler, TailProcessingWorksUnderDynamicChunking) {
-  const auto data = uniform_data(1003, 22);
-  RunOptions opts;
-  opts.split_policy = SplitPolicy::kDynamic;
-  GridAggregation<double> grid(SchedArgs(3, 10), 10, opts);
-  grid.run(data.data(), data.size(), nullptr, 0);
-  EXPECT_EQ(grid.stats().chunks_processed, 101u);
-  EXPECT_EQ(grid.stats().elements_processed, data.size());
-  EXPECT_EQ(grid.stats().elements_skipped, 0u);
-}
-
 TEST(Scheduler, RecordAppsForceTailOff) {
-  // k-means' chunk is a feature vector: a partial record is malformed, so
-  // the app constructor forces process_tail off even when the caller left
-  // it on, and the ragged elements stay counted as skipped.
-  const auto data = uniform_data(10, 6);
-  KMeansInit init;
-  const std::vector<double> centroids = {0.0, 0.0, 0.0, 0.0, 100.0, 100.0, 100.0, 100.0};
-  init.centroids = centroids.data();
-  init.k = 2;
-  init.dims = 4;
-  RunOptions opts;
-  opts.process_tail = true;
-  KMeans<double> km(SchedArgs(1, 4, &init, 1), 2, 4, opts);
-  km.run(data.data(), data.size(), nullptr, 0);
-  EXPECT_EQ(km.stats().elements_processed, 8u);
-  EXPECT_EQ(km.stats().elements_skipped, 2u);
+  // Mutual information's chunk is an (x, y) pair: an unpaired trailing x is
+  // malformed, so the app constructor turns tail processing off and the
+  // ragged element stays counted as skipped (k-means is covered above).
+  const auto data = uniform_data(11, 23);
+  MutualInformation<double> mi(SchedArgs(2, 2), 0.0, 100.0, 4, 4);
+  mi.run(data.data(), data.size(), nullptr, 0);
+  EXPECT_EQ(mi.stats().chunks_processed, 5u);
+  EXPECT_EQ(mi.stats().elements_processed, 10u);
+  EXPECT_EQ(mi.stats().elements_skipped, 1u);
 }
 
 TEST(Scheduler, StatsTrackRunsAndChunks) {

@@ -1,11 +1,9 @@
-// Tests for the dynamic-chunking scheduler option and the offline
-// BlockReader.
+// Tests for the offline BlockReader.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
 #include "analytics/histogram.h"
-#include "analytics/moving_average.h"
 #include "analytics/reference.h"
 #include "baselines/offline.h"
 #include "common/rng.h"
@@ -21,39 +19,6 @@ std::vector<double> random_slab(std::size_t n, std::uint64_t seed) {
   for (auto& x : v) x = rng.uniform(0.0, 100.0);
   return v;
 }
-
-// --- dynamic chunking ----------------------------------------------------------------
-
-class DynamicChunking : public ::testing::TestWithParam<int> {};
-
-TEST_P(DynamicChunking, HistogramIdenticalToStaticSplits) {
-  const int threads = GetParam();
-  const auto data = random_slab(9001, 505);  // deliberately non-round size
-  Histogram<double> fixed(SchedArgs(threads, 1), 0.0, 100.0, 23);
-  RunOptions dyn;
-  dyn.split_policy = SplitPolicy::kDynamic;
-  Histogram<double> dynamic(SchedArgs(threads, 1), 0.0, 100.0, 23, dyn);
-  std::vector<std::size_t> a(23, 0), b(23, 0);
-  fixed.run(data.data(), data.size(), a.data(), a.size());
-  dynamic.run(data.data(), data.size(), b.data(), b.size());
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(dynamic.stats().chunks_processed, data.size());
-}
-
-TEST_P(DynamicChunking, WindowAppIdenticalToStaticSplits) {
-  const int threads = GetParam();
-  const auto data = random_slab(2000, 506);
-  MovingAverage<double> fixed(SchedArgs(threads, 1), 11);
-  RunOptions dyn;
-  dyn.split_policy = SplitPolicy::kDynamic;
-  MovingAverage<double> dynamic(SchedArgs(threads, 1), 11, dyn);
-  std::vector<double> a(data.size(), 0.0), b(data.size(), 0.0);
-  fixed.run2(data.data(), data.size(), a.data(), a.size());
-  dynamic.run2(data.data(), data.size(), b.data(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_NEAR(a[i], b[i], 1e-12) << i;
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, DynamicChunking, ::testing::Values(1, 2, 3, 8));
 
 // --- offline block reader ----------------------------------------------------------
 
